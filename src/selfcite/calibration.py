@@ -168,9 +168,9 @@ def load_profiles(path) -> dict[Discipline, FieldProfile]:
     return profiles
 
 
-def save_profiles(profiles: dict[Discipline, FieldProfile], path) -> None:
-    """Write profiles as JSON; stable key order, so round-trips are bit-exact."""
-    payload = {
+def profiles_to_json(profiles: dict[Discipline, FieldProfile]) -> dict:
+    """JSON-ready mapping of discipline name to profile, in sorted key order."""
+    return {
         discipline.value: {
             "alpha": profile.params.alpha,
             "beta": profile.params.beta,
@@ -182,8 +182,12 @@ def save_profiles(profiles: dict[Discipline, FieldProfile], path) -> None:
             profiles.items(), key=lambda item: item[0].value
         )
     }
+
+
+def save_profiles(profiles: dict[Discipline, FieldProfile], path) -> None:
+    """Write profiles as JSON; stable key order, so round-trips are bit-exact."""
     Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+        json.dumps(profiles_to_json(profiles), indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8",
         newline="\n",
     )

@@ -38,11 +38,12 @@ from .calibration import (
     default_profiles,
     estimate_field_beta,
     load_profiles,
+    profiles_to_json,
     save_profiles,
 )
 from .charts import render_bar_chart
 from .cohort import Dimension, cohort_aggregate, summaries_to_csv
-from .corpus import Corpus, CorpusError, CorpusFormat, Discipline
+from .corpus import Corpus, CorpusError, CorpusFormat, Discipline, MalformedRecord
 from .identity import SelfCitationMode
 from .metrics import (
     MetricParams,
@@ -51,12 +52,23 @@ from .metrics import (
     report_from_json,
     report_to_json,
 )
-from .synth import InvalidRate, InvalidSpec, apply_compounding, generate_synthetic_corpus, spec_from_json
+from .synth import apply_compounding, generate_synthetic_corpus, spec_from_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+
+# main maps a failure to the code of the first entry it is an instance of;
+# anything unmatched is EXIT_INTERNAL. The input errors derived from
+# ValueError must come before it.
+_EXIT_CODES = (
+    (
+        (OSError, UnicodeDecodeError, json.JSONDecodeError, CorpusError, MalformedProfileFile),
+        EXIT_INPUT,
+    ),
+    (ValueError, EXIT_USAGE),
+)
 
 HISTOGRAM_UPPER_PCT = 25.0
 HISTOGRAM_TITLE = "Distribution of SCAI Adjustments"
@@ -68,6 +80,12 @@ class NoEligibleReports(ValueError):
     """Every report has h = 0; no adjustment distribution exists."""
 
 
+def _require_output_parent(output_path) -> None:
+    parent = Path(output_path).resolve().parent
+    if not parent.exists():
+        raise ValueError(f"output parent directory {parent} does not exist")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     input_locator: str
@@ -75,7 +93,6 @@ class RunConfig:
     max_papers: Optional[int] = None
     max_citations: Optional[int] = None
     visible: bool = False
-    debug: bool = False
     self_citation_mode: SelfCitationMode = SelfCitationMode.FOCAL
     profiles_path: Optional[str] = None
     reference_year: Optional[int] = None
@@ -85,9 +102,7 @@ class RunConfig:
             raise ValueError("--max-papers must be >= 1")
         if self.max_citations is not None and self.max_citations < 1:
             raise ValueError("--max-citations must be >= 1")
-        parent = Path(self.output_path).resolve().parent
-        if not parent.exists():
-            raise ValueError(f"output parent directory {parent} does not exist")
+        _require_output_parent(self.output_path)
 
 
 def _progress(config_visible: bool, message: str) -> None:
@@ -95,22 +110,33 @@ def _progress(config_visible: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _error_record(exc: BaseException, **extra) -> str:
+def _error_record(exc: BaseException) -> str:
     record = {"error": type(exc).__name__, "message": str(exc)}
-    record.update(extra)
+    path = getattr(exc, "filename", None) or getattr(exc, "path", None)
+    if path is not None:
+        record["path"] = str(path)
     return json.dumps(record, ensure_ascii=False)
 
 
-def _resolve_locator(locator: str) -> Path:
+def _input_path(locator) -> Path:
+    """Resolve an input path or ``file://`` URL; FileNotFoundError if absent."""
+    locator = str(locator)
     if locator.startswith("file://"):
-        parsed = urlparse(locator)
-        return Path(url2pathname(parsed.path))
-    return Path(locator)
+        path = Path(url2pathname(urlparse(locator).path))
+    else:
+        path = Path(locator)
+    path.stat()  # raises FileNotFoundError, carrying the path, if absent
+    return path
 
 
-def _load_corpus(path: Path) -> Corpus:
+def _read_json(locator):
+    return json.loads(_input_path(locator).read_text(encoding="utf-8"))
+
+
+def _load_corpus(locator) -> Corpus:
     from .corpus import parse_corpus
 
+    path = _input_path(locator)
     fmt = CorpusFormat.CSV_BUNDLE if path.is_dir() else CorpusFormat.JSONL
     return parse_corpus(path, fmt)
 
@@ -167,19 +193,8 @@ def _params_for(
 
 def run_analyze(config: RunConfig) -> int:
     """Full pipeline for one corpus; writes all artifacts under output_path."""
-    input_path = _resolve_locator(config.input_locator)
-    if not input_path.exists():
-        print(
-            _error_record(
-                FileNotFoundError(f"input not found: {input_path}"),
-                path=str(input_path),
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-
-    _progress(config.visible, f"loading corpus from {input_path}")
-    corpus = _load_corpus(input_path)
+    _progress(config.visible, f"loading corpus from {config.input_locator}")
+    corpus = _load_corpus(config.input_locator)
     corpus, truncation = _truncate(corpus, config.max_papers, config.max_citations)
     if truncation["truncated"]:
         _progress(
@@ -189,12 +204,7 @@ def run_analyze(config: RunConfig) -> int:
         )
 
     if config.profiles_path is not None:
-        profiles = load_profiles(config.profiles_path)
-        if not Path(config.profiles_path).exists():
-            _progress(
-                config.visible,
-                f"profiles file {config.profiles_path} missing; using defaults",
-            )
+        profiles = load_profiles(_input_path(config.profiles_path))
     else:
         profiles = default_profiles()
 
@@ -240,16 +250,7 @@ def run_analyze(config: RunConfig) -> int:
         "self_citation_mode": config.self_citation_mode.value,
         "reference_year": config.reference_year,
         "truncation": truncation,
-        "profiles": {
-            d.value: {
-                "alpha": p.params.alpha,
-                "beta": p.params.beta,
-                "gamma": p.params.gamma,
-                "basis": p.basis.value,
-                "sample_size": p.sample_size,
-            }
-            for d, p in sorted(profiles.items(), key=lambda kv: kv[0].value)
-        },
+        "profiles": profiles_to_json(profiles),
         "researchers": len(corpus.researchers),
         "reports": len(reports),
     }
@@ -316,28 +317,8 @@ def run_synth(spec_path, output_path, visible: bool = False) -> int:
     """Generate a corpus from a spec file and write it as JSONL."""
     from .corpus import write_corpus
 
-    spec_file = Path(spec_path)
-    if not spec_file.exists():
-        print(
-            _error_record(
-                FileNotFoundError(f"spec not found: {spec_file}"),
-                path=str(spec_file),
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    try:
-        raw = json.loads(spec_file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        print(_error_record(exc, path=str(spec_file)), file=sys.stderr)
-        return EXIT_INPUT
-    if not isinstance(raw, dict):
-        print(
-            _error_record(InvalidSpec("spec must hold a JSON object")),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    spec = spec_from_json(raw)
+    _require_output_parent(output_path)
+    spec = spec_from_json(_read_json(spec_path))
 
     _progress(visible, f"generating corpus with seed {spec.seed}")
     corpus = generate_synthetic_corpus(spec)
@@ -369,16 +350,8 @@ def run_calibrate(
     visible: bool = False,
 ) -> int:
     """Estimate per-discipline beta from a corpus; defaults fill the gaps."""
-    source = Path(input_path)
-    if not source.exists():
-        print(
-            _error_record(
-                FileNotFoundError(f"input not found: {source}"), path=str(source)
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    corpus = _load_corpus(source)
+    _require_output_parent(output_path)
+    corpus = _load_corpus(input_path)
     profiles = default_profiles()
     for discipline in sorted(profiles, key=lambda d: d.value):
         try:
@@ -469,30 +442,19 @@ _MODE_FLAGS = {
 
 
 def _run_histogram(args) -> int:
-    reports_file = Path(args.reports)
-    if not reports_file.exists():
-        print(
-            _error_record(
-                FileNotFoundError(f"reports not found: {reports_file}"),
-                path=str(reports_file),
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+    raw = _read_json(args.reports)
+    if not isinstance(raw, list):
+        raise MalformedRecord("reports file must hold a JSON array", args.reports)
     try:
-        raw = json.loads(reports_file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        print(_error_record(exc, path=str(reports_file)), file=sys.stderr)
-        return EXIT_INPUT
-    reports = [report_from_json(record) for record in raw]
+        reports = [report_from_json(record) for record in raw]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedRecord(f"invalid report ({exc!r})", args.reports) from None
     emit_histogram(reports, args.bins, args.output)
     return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    debug = getattr(args, "debug", False)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "analyze":
             config = RunConfig(
@@ -501,7 +463,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 max_papers=args.max_papers,
                 max_citations=args.max_citations,
                 visible=args.visible,
-                debug=args.debug,
                 self_citation_mode=_MODE_FLAGS[args.self_citation_mode],
                 profiles_path=args.profiles,
                 reference_year=args.reference_year,
@@ -511,27 +472,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return run_synth(args.spec, args.output, visible=args.visible)
         if args.command == "histogram":
             return _run_histogram(args)
-        if args.command == "calibrate":
-            return run_calibrate(
-                args.input,
-                args.output,
-                mode=_MODE_FLAGS[args.self_citation_mode],
-                visible=args.visible,
-            )
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_USAGE
-    except (CorpusError, MalformedProfileFile) as exc:
-        if debug:
+        return run_calibrate(
+            args.input,
+            args.output,
+            mode=_MODE_FLAGS[args.self_citation_mode],
+            visible=args.visible,
+        )
+    except Exception as exc:
+        if args.debug:
             traceback.print_exc()
         print(_error_record(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except (InvalidSpec, InvalidRate, NoEligibleReports, ValueError) as exc:
-        if debug:
-            traceback.print_exc()
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # last resort: anything else is exit code 4
-        if debug:
-            traceback.print_exc()
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_INTERNAL
+        return next(
+            (code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)),
+            EXIT_INTERNAL,
+        )

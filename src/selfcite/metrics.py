@@ -190,20 +190,6 @@ def report_from_counts(
 # Serialization
 # ---------------------------------------------------------------------------
 
-REPORT_FIELDS = (
-    "researcher_id",
-    "h_index",
-    "h_index_external",
-    "i10_index",
-    "total_citations",
-    "self_citations",
-    "scr",
-    "scai",
-    "s_index",
-    "inflation",
-    "yearly_scr",
-)
-
 
 def report_to_json(report: MetricsReport) -> dict:
     """JSON-ready dict with stable field order and sorted year keys."""
@@ -244,23 +230,3 @@ def report_from_json(record: dict) -> MetricsReport:
             for year, value in record.get("yearly_scr", {}).items()
         },
     )
-
-
-def report_to_csv_row(report: MetricsReport) -> list[str]:
-    """One CSV row in REPORT_FIELDS order; yearly series as year:value pairs."""
-    yearly = ";".join(
-        f"{year}:{report.yearly_scr[year]:.6f}" for year in sorted(report.yearly_scr)
-    )
-    return [
-        report.researcher_id,
-        str(report.h_index),
-        str(report.h_index_external),
-        str(report.i10_index),
-        str(report.total_citations),
-        str(report.self_citations),
-        f"{report.scr:.6f}",
-        f"{report.scai:.6f}",
-        str(report.s_index),
-        "" if report.inflation is None else f"{report.inflation:.6f}",
-        yearly,
-    ]

@@ -135,6 +135,8 @@ class GeneratorSpec:
 
 def spec_from_json(raw: dict) -> GeneratorSpec:
     """Build a GeneratorSpec from parsed JSON; InvalidSpec on any problem."""
+    if not isinstance(raw, dict):
+        raise InvalidSpec("spec must hold a JSON object")
     try:
         years = raw["years"]
         groups = tuple(
@@ -176,8 +178,6 @@ def load_generator_spec(path) -> GeneratorSpec:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidSpec(f"cannot read spec {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InvalidSpec(f"spec {path} must hold a JSON object")
     return spec_from_json(raw)
 
 

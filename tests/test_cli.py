@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ from selfcite.corpus import (
     parse_corpus,
     write_corpus,
 )
-from selfcite.metrics import MetricsReport
+from selfcite.metrics import MetricsReport, report_to_json
 
 from conftest import (
     DATA,
@@ -60,7 +62,7 @@ def test_runconfig_rejects_missing_output_parent(tmp_path):
 def test_runconfig_defaults(tmp_path):
     config = RunConfig("in.jsonl", str(tmp_path / "out"))
     assert config.max_papers is None
-    assert not config.visible and not config.debug
+    assert not config.visible
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +269,24 @@ def test_analyze_malformed_profiles(tmp_path, two_papers_path, capsys):
     )
     assert code == EXIT_INPUT
     assert last_stderr_record(capsys)["error"] == "MalformedProfileFile"
+
+
+def test_analyze_missing_profiles_file(tmp_path, two_papers_path, capsys):
+    code = main(
+        [
+            "analyze",
+            str(two_papers_path),
+            "--output",
+            str(tmp_path / "o"),
+            "--profiles",
+            str(tmp_path / "absent.json"),
+        ]
+    )
+    assert code == EXIT_INPUT
+    record = last_stderr_record(capsys)
+    assert record["error"] == "FileNotFoundError"
+    assert "absent.json" in record["path"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_visible_progress(tmp_path, two_papers_path, capsys):
@@ -558,6 +578,57 @@ def test_calibrate_output_feeds_analyze(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# error paths shared by every command
+# ---------------------------------------------------------------------------
+
+
+def _report_lacking_h_index():
+    record = report_to_json(hist_report("A", 5, 5.0))
+    del record["h_index"]
+    return json.dumps([record]).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, make_input",
+    [
+        ("analyze", lambda path: path.write_bytes(b"\xff\xfe\n")),
+        ("synth", lambda path: path.write_bytes(b"\xff\xfe")),
+        ("synth", lambda path: path.mkdir()),
+        ("histogram", lambda path: path.write_text("{}", encoding="utf-8")),
+        ("histogram", lambda path: path.write_bytes(_report_lacking_h_index())),
+    ],
+    ids=[
+        "analyze-non-utf8-corpus",
+        "synth-non-utf8-spec",
+        "synth-directory-spec",
+        "histogram-object-reports",
+        "histogram-record-lacks-h-index",
+    ],
+)
+def test_unreadable_input_is_input_error(tmp_path, capsys, command, make_input):
+    source = tmp_path / "input"
+    make_input(source)
+    code = main([command, str(source), "--output", str(tmp_path / "out")])
+    assert code == EXIT_INPUT
+    assert set(last_stderr_record(capsys)) >= {"error", "message"}
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("synth", DATA / "e2e_spec.json"),
+        ("calibrate", DATA / "two_papers_one_selfcite.jsonl"),
+    ],
+    ids=["synth", "calibrate"],
+)
+def test_missing_output_parent_is_usage_error(tmp_path, capsys, command, source):
+    output = tmp_path / "missing" / "out"
+    code = main([command, str(source), "--output", str(output)])
+    assert code == EXIT_USAGE
+    assert last_stderr_record(capsys)["error"] == "ValueError"
+
+
+# ---------------------------------------------------------------------------
 # argument surface
 # ---------------------------------------------------------------------------
 
@@ -590,3 +661,68 @@ def test_console_script_runs(tmp_path, two_papers_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "out" / "reports.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# benchmark driver
+# ---------------------------------------------------------------------------
+
+
+def test_traced_driver_matches_cli(tmp_path):
+    """bench/traced.py replays calibrate and analyze through the library's
+    public names; it must import cleanly and write the CLI's bytes."""
+    root = Path(__file__).resolve().parents[1]
+    source = str(DATA / "e2e_corpus.jsonl")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+
+    def traced(*args):
+        subprocess.run(
+            [
+                sys.executable,
+                str(root / "bench" / "traced.py"),
+                "--trace",
+                "1",
+                "--spans",
+                str(tmp_path / "spans.json"),
+                *args,
+            ],
+            env=env,
+            check=True,
+        )
+
+    cli, bench = tmp_path / "cli", tmp_path / "bench"
+    for out in (cli, bench):
+        out.mkdir()
+    assert main(["calibrate", source, "--output", str(cli / "profiles.json")]) == 0
+    assert main(
+        [
+            "analyze",
+            source,
+            "--output",
+            str(cli / "analysis"),
+            "--profiles",
+            str(cli / "profiles.json"),
+            "--reference-year",
+            "2024",
+        ]
+    ) == 0
+    traced("calibrate", source, str(bench / "profiles.json"), "focal")
+    traced(
+        "analyze",
+        source,
+        str(bench / "analysis"),
+        "focal",
+        str(bench / "profiles.json"),
+        "2024",
+    )
+    for name in (
+        "profiles.json",
+        "analysis/reports.json",
+        "analysis/cohort_discipline.csv",
+        "analysis/cohort_gender.csv",
+        "analysis/cohort_career_stage.csv",
+    ):
+        assert (cli / name).read_bytes() == (bench / name).read_bytes(), name

@@ -10,7 +10,6 @@ from selfcite.metrics import (
     InvalidParams,
     MetricParams,
     MetricsReport,
-    REPORT_FIELDS,
     SelfExceedsTotal,
     compute_h_index,
     compute_i10,
@@ -20,7 +19,6 @@ from selfcite.metrics import (
     compute_scai,
     compute_scr,
     report_from_json,
-    report_to_csv_row,
     report_to_json,
 )
 
@@ -251,22 +249,19 @@ def test_report_json_roundtrip(researcher_mid_path):
 def test_report_json_field_order(two_papers_path):
     corpus = parse_corpus(two_papers_path)
     record = report_to_json(compute_report(corpus, "A"))
-    assert tuple(record.keys()) == REPORT_FIELDS
-
-
-def test_report_csv_row(researcher_mid_path):
-    corpus = parse_corpus(researcher_mid_path)
-    row = report_to_csv_row(compute_report(corpus, "M"))
-    assert len(row) == len(REPORT_FIELDS)
-    assert row[0] == "M"
-    assert row[6] == "0.333333"
-    assert row[10].startswith("2012:1.000000;2013:0.000000")
-
-
-def test_csv_row_empty_inflation_cell(two_papers_path):
-    corpus = parse_corpus(two_papers_path)
-    row = report_to_csv_row(compute_report(corpus, "A"))
-    assert row[9] == ""
+    assert tuple(record.keys()) == (
+        "researcher_id",
+        "h_index",
+        "h_index_external",
+        "i10_index",
+        "total_citations",
+        "self_citations",
+        "scr",
+        "scai",
+        "s_index",
+        "inflation",
+        "yearly_scr",
+    )
 
 
 def test_report_custom_params_change_scai_only(researcher_mid_path):
