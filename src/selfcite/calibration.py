@@ -129,7 +129,7 @@ def load_profiles(path) -> dict[Discipline, FieldProfile]:
         return default_profiles()
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedProfileFile(f"cannot parse profile file: {exc}", path) from None
     if not isinstance(raw, dict):
         raise MalformedProfileFile("profile file must be a JSON object", path)

@@ -211,6 +211,11 @@ class Corpus:
                 raise DuplicateId(p.pub_id)
             if not p.author_ids:
                 raise MalformedRecord(f"publication {p.pub_id!r} has no authors")
+            if len(set(p.author_ids)) < len(p.author_ids):
+                repeated = next(a for a in p.author_ids if p.author_ids.count(a) > 1)
+                raise MalformedRecord(
+                    f"publication {p.pub_id!r} lists author {repeated!r} more than once"
+                )
             if not (MIN_YEAR <= p.year <= year_hi):
                 raise MalformedRecord(
                     f"publication {p.pub_id!r} year {p.year} "
@@ -380,28 +385,38 @@ def parse_corpus(source, format: CorpusFormat = CorpusFormat.JSONL) -> Corpus:
     raise ValueError(f"unsupported corpus format: {format!r}")
 
 
-def _open_text(source) -> tuple[io.TextIOBase, str, bool]:
-    """Return (text stream, provenance label, needs_close)."""
+def _open_lines(source) -> tuple[io.IOBase, str, bool]:
+    """Return (stream of byte or text lines, provenance label, needs_close).
+
+    Bytes stay undecoded so that a decode error can name its line.
+    """
     if isinstance(source, (str, Path)):
         path = Path(source)
-        return path.open("r", encoding="utf-8"), str(path), True
+        return path.open("rb"), str(path), True
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), "<bytes>", False
+        return io.BytesIO(source), "<bytes>", False
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            return io.BytesIO(data), "<stream>", False
         return io.StringIO(data), "<stream>", False
     raise TypeError(f"cannot read corpus from {type(source).__name__}")
 
 
 def _parse_jsonl(source) -> Corpus:
-    stream, label, needs_close = _open_text(source)
+    stream, label, needs_close = _open_lines(source)
     researchers: list[Researcher] = []
     publications: list[Publication] = []
     edges: list[CitationEdge] = []
     try:
         for lineno, line in enumerate(stream, start=1):
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise MalformedRecord(
+                        f"invalid UTF-8 ({exc})", f"{label} line {lineno}"
+                    ) from None
             line = line.strip()
             if not line:
                 continue
@@ -435,14 +450,18 @@ def _split_multi(cell: str) -> tuple[str, ...]:
 def _csv_rows(path: Path, required: list[str]) -> Iterable[tuple[dict, str]]:
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise MalformedRecord(
-                f"missing columns {missing}", f"{path.name} header"
-            )
-        for rownum, row in enumerate(reader, start=2):
-            yield row, f"{path.name} row {rownum}"
+        try:
+            header = reader.fieldnames or []
+            missing = [col for col in required if col not in header]
+            if missing:
+                raise MalformedRecord(
+                    f"missing columns {missing}", f"{path.name} header"
+                )
+            for rownum, row in enumerate(reader, start=2):
+                yield row, f"{path.name} row {rownum}"
+        except UnicodeDecodeError as exc:
+            # text mode decodes in chunks, so only the file is known
+            raise MalformedRecord(f"invalid UTF-8 ({exc})", path.name) from None
 
 
 def _int_cell(cell: str, what: str, location: str) -> int:

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .corpus import Corpus, CitationEdge, Researcher, UnknownResearcher
+from .corpus import Corpus, CitationEdge, Researcher
 
 
 class MatchBasis(Enum):
@@ -189,6 +189,22 @@ def same_person(
     return False, None
 
 
+def person_key(researcher: Researcher) -> tuple[str, str]:
+    """Equal keys mean one person: :func:`same_person` on two corpus records.
+
+    Namespaced, so an ORCID equal to another record's id merges no one.
+    """
+    if researcher.orcid:
+        return ("orcid", researcher.orcid)
+    return ("id", researcher.researcher_id)
+
+
+def author_keys(corpus: Corpus, pub_id: str) -> set[tuple[str, str]]:
+    """The person keys of a publication's authors."""
+    authors = corpus.publications[pub_id].author_ids
+    return {person_key(corpus.researchers[aid]) for aid in authors}
+
+
 # ---------------------------------------------------------------------------
 # Self-citation classification
 # ---------------------------------------------------------------------------
@@ -313,26 +329,21 @@ def count_citations(
     citing publication's year. Raises ``UnknownResearcher`` for an id
     not in the corpus. Deterministic: iteration follows corpus order.
     """
-    corpus.researcher(focal)
+    focal_keys = {person_key(corpus.researcher(focal))}
+    any_overlap = mode is SelfCitationMode.ANY_OVERLAP
     per_publication: dict[str, Tally] = {}
     year_totals: dict[int, list[int]] = {}
     for pub_id in corpus.publications_by_author.get(focal, ()):
-        total = 0
+        cited_keys = author_keys(corpus, pub_id) if any_overlap else focal_keys
+        edges = corpus.incoming_edges.get(pub_id, ())
         self_count = 0
-        for edge in corpus.incoming_edges.get(pub_id, ()):
-            label = classify_self_citation(corpus, edge, focal, mode)
+        for edge in edges:
             citing_year = corpus.publications[edge.citing_id].year
             bucket = year_totals.setdefault(citing_year, [0, 0])
-            total += 1
             bucket[0] += 1
-            if label.is_self:
+            if not cited_keys.isdisjoint(author_keys(corpus, edge.citing_id)):
                 self_count += 1
                 bucket[1] += 1
-        per_publication[pub_id] = Tally(total=total, self=self_count)
-    per_year = {
-        year: Tally(total=pair[0], self=pair[1])
-        for year, pair in sorted(year_totals.items())
-    }
-    return CitationCounts(
-        focal_researcher=focal, per_publication=per_publication, per_year=per_year
-    )
+        per_publication[pub_id] = Tally(total=len(edges), self=self_count)
+    per_year = {year: Tally(*pair) for year, pair in sorted(year_totals.items())}
+    return CitationCounts(focal, per_publication, per_year)

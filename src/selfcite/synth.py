@@ -23,7 +23,9 @@ within a fixed horizon after the self-citation.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -39,7 +41,7 @@ from .corpus import (
     Researcher,
     max_valid_year,
 )
-from .identity import same_person
+from .identity import author_keys
 
 # Beta concentration for individual self-citation ratios: alpha+beta of the
 # moment-matched distribution. Higher = tighter spread around the target.
@@ -171,12 +173,9 @@ def spec_from_json(raw: dict) -> GeneratorSpec:
 
 def load_generator_spec(path) -> GeneratorSpec:
     """Read a GeneratorSpec from a JSON file; InvalidSpec on any problem."""
-    import json
-    from pathlib import Path
-
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidSpec(f"cannot read spec {path}: {exc}") from None
     return spec_from_json(raw)
 
@@ -412,16 +411,6 @@ def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _is_self_edge(corpus: Corpus, edge: CitationEdge) -> bool:
-    citing = corpus.publications[edge.citing_id]
-    cited = corpus.publications[edge.cited_id]
-    for ca in citing.author_ids:
-        for da in cited.author_ids:
-            if same_person(corpus.researcher(ca), corpus.researcher(da))[0]:
-                return True
-    return False
-
-
 def apply_compounding(
     corpus: Corpus,
     rate: float,
@@ -430,8 +419,8 @@ def apply_compounding(
 ) -> Corpus:
     """Layer self-citation compounding onto a corpus.
 
-    Every self-citation edge (any author shared between citing and cited
-    publication) spawns a Poisson(rate) number of additional external
+    Every self-citation edge (any person key shared between citing and
+    cited publication) spawns a Poisson(rate) number of additional external
     citations to the cited work. Each spawned citation gets a fresh
     single-author publication by a new researcher, dated uniformly in the
     horizon after the self-citation (clamped to the latest valid year).
@@ -461,7 +450,7 @@ def apply_compounding(
                 return rid, pid
 
     for edge in corpus.edges:
-        if not _is_self_edge(corpus, edge):
+        if author_keys(corpus, edge.citing_id).isdisjoint(author_keys(corpus, edge.cited_id)):
             continue
         base_year = corpus.publications[edge.citing_id].year
         for _ in range(int(rng.poisson(rate))):

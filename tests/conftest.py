@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,15 @@ from selfcite.corpus import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _checkout_on_subprocess_path():
+    """Subprocesses running ``python -m selfcite`` import this checkout's package."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(SRC), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture
@@ -84,16 +94,24 @@ def corpus_with_ratios(
 
 
 @st.composite
-def small_corpora(draw) -> Corpus:
-    """Small random corpora satisfying every structural invariant."""
+def small_corpora(draw, orcids: bool = False) -> Corpus:
+    """Small random corpora satisfying every structural invariant.
+
+    With ``orcids``, about half the records carry an ORCID drawn from a
+    pool of two plain ORCIDs and every record id. So records can share an
+    ORCID (one person on two records), and an ORCID can equal another
+    record's id, as R0 with ORCID "R1" beside R1: two people, not one.
+    """
     n_researchers = draw(st.integers(min_value=1, max_value=6))
     rids = [f"R{i}" for i in range(n_researchers)]
+    orcid_pool = st.one_of(st.none(), st.sampled_from(["0000-1", "0000-2", *rids]))
     researchers = [
         Researcher(
             researcher_id=rid,
             name_variants=(f"Name {rid}",),
             gender=draw(st.sampled_from(list(Gender))),
             discipline=draw(st.sampled_from(list(Discipline))),
+            orcid=draw(orcid_pool) if orcids else None,
         )
         for rid in rids
     ]

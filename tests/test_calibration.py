@@ -208,6 +208,14 @@ def test_load_rejects_invalid_json(tmp_path):
         load_profiles(path)
 
 
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "profiles.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(MalformedProfileFile) as excinfo:
+        load_profiles(path)
+    assert excinfo.value.path == path
+
+
 def test_load_rejects_non_object_top_level(tmp_path):
     path = write_profile_file(tmp_path, ["Engineering"])
     with pytest.raises(MalformedProfileFile):

@@ -271,6 +271,25 @@ def test_analyze_malformed_profiles(tmp_path, two_papers_path, capsys):
     assert last_stderr_record(capsys)["error"] == "MalformedProfileFile"
 
 
+def test_analyze_non_utf8_profiles(tmp_path, two_papers_path, capsys):
+    profiles_path = tmp_path / "profiles.json"
+    profiles_path.write_bytes(b"\xff\xfe")
+    code = main(
+        [
+            "analyze",
+            str(two_papers_path),
+            "--output",
+            str(tmp_path / "o"),
+            "--profiles",
+            str(profiles_path),
+        ]
+    )
+    assert code == EXIT_INPUT
+    record = last_stderr_record(capsys)
+    assert record["error"] == "MalformedProfileFile"
+    assert record["path"] == str(profiles_path)
+
+
 def test_analyze_missing_profiles_file(tmp_path, two_papers_path, capsys):
     code = main(
         [

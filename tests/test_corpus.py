@@ -111,6 +111,34 @@ def test_invalid_json_line_reports_location():
     assert "line 2" in str(err.value)
 
 
+def test_non_utf8_jsonl_line_reports_location(tmp_path):
+    good = b'{"kind":"researcher","id":"R","names":["N"],"discipline":"Other"}\n'
+    data = good + b"\n" + b'{"kind":"researcher","id":"\xff"}\n' + good
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    sources = [(path, str(path)), (data, "<bytes>"), (io.BytesIO(data), "<stream>")]
+    for source, label in sources:
+        with pytest.raises(MalformedRecord) as err:
+            parse_corpus(source)
+        assert err.value.location == f"{label} line 3"
+        assert "UTF-8" in err.value.reason
+
+
+def test_non_utf8_csv_names_file(tmp_path):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "researchers.csv").write_text(
+        "id,names,orcid,gender,discipline,first_pub_year\nA,N,,,Other,\n"
+    )
+    (bundle / "publications.csv").write_bytes(
+        b"id,title,year,authors,discipline\nP1,T\xff,2000,A,Other\n"
+    )
+    (bundle / "citations.csv").write_text("citing,cited\n")
+    with pytest.raises(MalformedRecord) as err:
+        parse_corpus(bundle, CorpusFormat.CSV_BUNDLE)
+    assert err.value.location == "publications.csv"
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(MalformedRecord):
         parse_corpus(io.StringIO('{"kind":"grant","id":"G"}\n'))
@@ -193,6 +221,41 @@ def test_publication_without_authors_rejected():
     r = simple_researcher("R")
     with pytest.raises(MalformedRecord):
         make_corpus([r], [Publication("P", "T", 2000, (), Discipline.OTHER)], [])
+
+
+def test_author_listed_twice_rejected():
+    # counted twice, P1's one citation would make A's per-year total 3, not 2
+    a = simple_researcher("A")
+    pubs = [
+        simple_pub("P1", 2000, ["A", "A"]),
+        simple_pub("P2", 2000, ["A"]),
+        simple_pub("P3", 2005, ["A"]),
+    ]
+    edges = [CitationEdge("P3", "P1"), CitationEdge("P3", "P2")]
+    with pytest.raises(MalformedRecord) as err:
+        make_corpus([a], pubs, edges)
+    assert "'P1'" in str(err.value) and "'A'" in str(err.value)
+
+
+def test_author_listed_twice_rejected_from_files(tmp_path):
+    text = (
+        '{"kind":"researcher","id":"A","names":["N"],"discipline":"Other"}\n'
+        '{"kind":"publication","id":"P1","title":"T","year":2000,'
+        '"authors":["A","A"],"discipline":"Other"}\n'
+    )
+    with pytest.raises(MalformedRecord, match="'A' more than once"):
+        parse_corpus(io.StringIO(text))
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "researchers.csv").write_text(
+        "id,names,orcid,gender,discipline,first_pub_year\nA,N,,,Other,\n"
+    )
+    (bundle / "publications.csv").write_text(
+        "id,title,year,authors,discipline\nP1,T,2000,A|A,Other\n"
+    )
+    (bundle / "citations.csv").write_text("citing,cited\n")
+    with pytest.raises(MalformedRecord, match="'A' more than once"):
+        parse_corpus(bundle, CorpusFormat.CSV_BUNDLE)
 
 
 def test_negative_citation_count_rejected():

@@ -13,6 +13,7 @@ from selfcite.identity import (
     classify_self_citation,
     count_citations,
     normalize_name,
+    person_key,
     same_person,
 )
 from selfcite.corpus import UnknownResearcher
@@ -308,3 +309,76 @@ def test_classification_matches_membership_oracle(corpus):
                 label = classify_self_citation(corpus, edge, rid)
                 oracle = rid in corpus.publications[edge.citing_id].author_ids
                 assert label.is_self == oracle
+
+
+# ---------------------------------------------------------------------------
+# person_key: the counting rule, checked against the per-edge cascade
+# ---------------------------------------------------------------------------
+
+
+def test_person_key_keeps_orcid_apart_from_ids():
+    # R0's ORCID is spelled like R1's id; same_person calls them two people
+    r0 = simple_researcher("R0", orcid="R1")
+    r1 = simple_researcher("R1")
+    assert same_person(r0, r1) == (False, None)
+    assert person_key(r0) != person_key(r1)
+    cited = simple_pub("P0", 2010, ["R0"])
+    citing = simple_pub("P1", 2012, ["R1"])
+    corpus = make_corpus([r0, r1], [cited, citing], [CitationEdge("P1", "P0")])
+    for mode in SelfCitationMode:
+        assert count_citations(corpus, "R0", mode).self_total == 0
+
+
+def test_count_citations_shared_orcid_is_self():
+    j1 = simple_researcher("J1", orcid="0000-7")
+    j2 = simple_researcher("J2", orcid="0000-7")
+    b = simple_researcher("B")
+    cited = simple_pub("P1", 2010, ["J1", "B"])
+    citing = simple_pub("P2", 2014, ["J2"])
+    corpus = make_corpus([j1, j2, b], [cited, citing], [CitationEdge("P2", "P1")])
+    assert count_citations(corpus, "J1").self_total == 1
+    assert count_citations(corpus, "B").self_total == 0
+    assert count_citations(corpus, "B", SelfCitationMode.ANY_OVERLAP).self_total == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=small_corpora(orcids=True))
+def test_person_key_matches_same_person(corpus):
+    records = list(corpus.researchers.values())
+    for a in records:
+        for b in records:
+            assert same_person(a, b)[0] == (person_key(a) == person_key(b))
+
+
+def reference_counts(corpus, focal, mode):
+    """Tally edge by edge from classify_self_citation, without the indexes."""
+    per_publication = {}
+    per_year = {}
+    authored = sorted(
+        pid for pid, pub in corpus.publications.items() if focal in pub.author_ids
+    )
+    for pid in authored:
+        total = self_count = 0
+        for edge in corpus.edges:
+            if edge.cited_id != pid:
+                continue
+            is_self = classify_self_citation(corpus, edge, focal, mode).is_self
+            year = corpus.publications[edge.citing_id].year
+            old = per_year.get(year, Tally(0, 0))
+            per_year[year] = Tally(old.total + 1, old.self + is_self)
+            total += 1
+            self_count += is_self
+        per_publication[pid] = Tally(total, self_count)
+    return per_publication, dict(sorted(per_year.items()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=small_corpora(orcids=True))
+def test_count_citations_matches_per_edge_classification(corpus):
+    for rid in corpus.researchers:
+        for mode in SelfCitationMode:
+            counts = count_citations(corpus, rid, mode)
+            per_publication, per_year = reference_counts(corpus, rid, mode)
+            assert list(counts.per_publication.items()) == list(per_publication.items())
+            assert list(counts.per_year.items()) == list(per_year.items())
+            assert counts.focal_researcher == rid

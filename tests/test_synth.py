@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from selfcite.cohort import CareerStage, career_stage
 from selfcite.corpus import (
@@ -10,7 +11,7 @@ from selfcite.corpus import (
     serialize_corpus,
     validate_corpus,
 )
-from selfcite.identity import count_citations
+from selfcite.identity import SelfCitationMode, classify_self_citation, count_citations
 from selfcite.metrics import compute_h_index
 from selfcite.synth import (
     GeneratorSpec,
@@ -24,7 +25,7 @@ from selfcite.synth import (
     spec_from_json,
 )
 
-from conftest import make_corpus, simple_pub, simple_researcher
+from conftest import make_corpus, simple_pub, simple_researcher, small_corpora
 
 YEARS = YearRange(1985, 2024)
 
@@ -189,6 +190,13 @@ def test_load_spec_invalid_json(tmp_path):
         load_generator_spec(path)
 
 
+def test_load_spec_non_utf8(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(InvalidSpec):
+        load_generator_spec(path)
+
+
 def test_load_spec_non_object(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text("[1, 2]", encoding="utf-8")
@@ -341,6 +349,45 @@ def chain_corpus(n_pubs=6):
     return make_corpus([r], pubs, edges)
 
 
+def shared_orcid_corpus():
+    """J1 and J2 share an ORCID and cite each other's papers; X is cited externally."""
+    people = [
+        simple_researcher("J1", orcid="0000-7"),
+        simple_researcher("J2", orcid="0000-7"),
+        simple_researcher("X"),
+    ]
+    pubs = [simple_pub(f"P{i:03d}", 2005, ["J1" if i % 2 else "J2"]) for i in range(6)]
+    pubs.append(simple_pub("X000", 2005, ["X"]))
+    edges = [CitationEdge(f"P{i + 1:03d}", f"P{i:03d}") for i in range(5)]
+    edges.append(CitationEdge("P000", "X000"))
+    return make_corpus(people, pubs, edges)
+
+
+def orcid_equals_id_corpus():
+    """R0's ORCID is spelled like R1's id, yet they are two people: R1's
+    citation of R0's last paper is external."""
+    people = [simple_researcher("R0", orcid="R1"), simple_researcher("R1")]
+    pubs = [simple_pub(f"P{i:03d}", 2005, ["R0"]) for i in range(4)]
+    pubs.append(simple_pub("Q000", 2005, ["R1"]))
+    edges = [CitationEdge(f"P{i + 1:03d}", f"P{i:03d}") for i in range(3)]
+    edges.append(CitationEdge("Q000", "P003"))
+    return make_corpus(people, pubs, edges)
+
+
+def self_cited_works(corpus):
+    """Cited ids of the any-overlap self-citations, classified edge by edge."""
+    return {
+        e.cited_id
+        for e in corpus.edges
+        if classify_self_citation(
+            corpus,
+            e,
+            corpus.publications[e.cited_id].author_ids[0],
+            SelfCitationMode.ANY_OVERLAP,
+        ).is_self
+    }
+
+
 def test_compounding_rejects_bad_rate():
     corpus = chain_corpus()
     with pytest.raises(InvalidRate):
@@ -362,14 +409,12 @@ def test_compounding_only_adds():
     assert {e.pair for e in corpus.edges} <= {e.pair for e in grown.edges}
 
 
-def test_compounding_new_edges_target_self_cited_works():
-    corpus = chain_corpus()
-    self_cited = {
-        e.cited_id
-        for e in corpus.edges
-        if set(corpus.publications[e.citing_id].author_ids)
-        & set(corpus.publications[e.cited_id].author_ids)
-    }
+@pytest.mark.parametrize(
+    "build", [chain_corpus, shared_orcid_corpus, orcid_equals_id_corpus]
+)
+def test_compounding_new_edges_target_self_cited_works(build):
+    corpus = build()
+    self_cited = self_cited_works(corpus)
     grown = apply_compounding(corpus, 3.0, seed=4)
     old_pairs = {e.pair for e in corpus.edges}
     new_edges = [e for e in grown.edges if e.pair not in old_pairs]
@@ -379,6 +424,16 @@ def test_compounding_new_edges_target_self_cited_works():
         assert edge.citing_id.startswith("CP")
         citer = grown.publications[edge.citing_id].author_ids
         assert len(citer) == 1 and citer[0].startswith("CR")
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus=small_corpora(orcids=True))
+def test_compounding_targets_match_per_edge_classification(corpus):
+    # at rate 30 a self-citation spawns nothing with probability e**-30
+    grown = apply_compounding(corpus, 30.0, seed=1)
+    old_pairs = {e.pair for e in corpus.edges}
+    targets = {e.cited_id for e in grown.edges if e.pair not in old_pairs}
+    assert targets == self_cited_works(corpus)
 
 
 def test_compounding_deterministic():
