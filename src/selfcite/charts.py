@@ -10,7 +10,6 @@ are formatted to two decimals.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 WIDTH = 640
 HEIGHT = 420
@@ -23,6 +22,11 @@ BAR_FILL = "#4878a8"
 AXIS_COLOR = "#333333"
 GRID_COLOR = "#dddddd"
 FONT = "font-family=\"Helvetica, Arial, sans-serif\""
+
+
+def _escape(text: str) -> str:
+    """XML-escape ``&``, ``<`` and ``>``, as ``xml.sax.saxutils.escape`` does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _nice_step(max_value: float, target_ticks: int = 5) -> float:
@@ -69,7 +73,7 @@ def render_bar_chart(
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.2f}" y="28" text-anchor="middle" '
-        f'font-size="17" {FONT} fill="{AXIS_COLOR}">{escape(title)}</text>',
+        f'font-size="17" {FONT} fill="{AXIS_COLOR}">{_escape(title)}</text>',
     ]
 
     # horizontal gridlines and y tick labels
@@ -126,12 +130,12 @@ def render_bar_chart(
     parts.append(
         f'<text x="{x0 + plot_w / 2:.2f}" y="{HEIGHT - 16}" '
         f'text-anchor="middle" font-size="14" {FONT} '
-        f'fill="{AXIS_COLOR}">{escape(x_label)}</text>'
+        f'fill="{AXIS_COLOR}">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="20" y="{y0 + plot_h / 2:.2f}" text-anchor="middle" '
         f'font-size="14" {FONT} fill="{AXIS_COLOR}" '
-        f'transform="rotate(-90 20 {y0 + plot_h / 2:.2f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 20 {y0 + plot_h / 2:.2f})">{_escape(y_label)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

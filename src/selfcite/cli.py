@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
-from urllib.parse import urlparse
-from urllib.request import url2pathname
 
 from . import __version__
 from .calibration import (
@@ -52,7 +50,6 @@ from .metrics import (
     report_from_json,
     report_to_json,
 )
-from .synth import apply_compounding, generate_synthetic_corpus, spec_from_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,6 +119,9 @@ def _input_path(locator) -> Path:
     """Resolve an input path or ``file://`` URL; FileNotFoundError if absent."""
     locator = str(locator)
     if locator.startswith("file://"):
+        from urllib.parse import urlparse
+        from urllib.request import url2pathname
+
         path = Path(url2pathname(urlparse(locator).path))
     else:
         path = Path(locator)
@@ -316,6 +316,7 @@ def emit_histogram(
 def run_synth(spec_path, output_path, visible: bool = False) -> int:
     """Generate a corpus from a spec file and write it as JSONL."""
     from .corpus import write_corpus
+    from .synth import apply_compounding, generate_synthetic_corpus, spec_from_json
 
     _require_output_parent(output_path)
     spec = spec_from_json(_read_json(spec_path))

@@ -34,8 +34,10 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
+from json.scanner import make_scanner
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 MIN_YEAR = 1500
 
@@ -109,7 +111,7 @@ class UnknownResearcher(CorpusError):
         super().__init__(f"unknown researcher {researcher_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Publication:
     pub_id: str
     title: str
@@ -119,7 +121,7 @@ class Publication:
     source_citation_count: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationEdge:
     citing_id: str
     cited_id: str
@@ -129,7 +131,7 @@ class CitationEdge:
         return (self.citing_id, self.cited_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Researcher:
     researcher_id: str
     name_variants: tuple[str, ...]
@@ -139,7 +141,7 @@ class Researcher:
     discipline: Discipline = Discipline.OTHER
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     source: str
     format_version: str
@@ -237,17 +239,17 @@ class Corpus:
         edge_list: list[CitationEdge] = []
         seen_pairs: set[tuple[str, str]] = set()
         for e in edges:
-            if e.citing_id not in publication_map:
-                raise DanglingReference(e.citing_id, "citing side of citation")
-            if e.cited_id not in publication_map:
-                raise DanglingReference(e.cited_id, "cited side of citation")
-            if e.citing_id == e.cited_id:
-                raise MalformedRecord(
-                    f"publication {e.citing_id!r} cannot cite itself"
-                )
-            if e.pair in seen_pairs:
-                raise DuplicateId(f"{e.citing_id}->{e.cited_id}")
-            seen_pairs.add(e.pair)
+            citing, cited = e.citing_id, e.cited_id
+            if citing not in publication_map:
+                raise DanglingReference(citing, "citing side of citation")
+            if cited not in publication_map:
+                raise DanglingReference(cited, "cited side of citation")
+            if citing == cited:
+                raise MalformedRecord(f"publication {citing!r} cannot cite itself")
+            pair = (citing, cited)
+            if pair in seen_pairs:
+                raise DuplicateId(f"{citing}->{cited}")
+            seen_pairs.add(pair)
             edge_list.append(e)
 
         return cls(
@@ -319,7 +321,7 @@ def _require_int(value: object, what: str, location: str) -> int:
     return value
 
 
-def _researcher_from_json(record: dict, location: str) -> Researcher:
+def _researcher_from_json(record: dict, location: str, ids: dict[str, str]) -> Researcher:
     names = record.get("names")
     if not isinstance(names, list) or not names or not all(
         isinstance(n, str) for n in names
@@ -331,8 +333,9 @@ def _researcher_from_json(record: dict, location: str) -> Researcher:
     first_pub_year = record.get("first_pub_year")
     if first_pub_year is not None:
         first_pub_year = _require_int(first_pub_year, "first_pub_year", location)
+    rid = _require_str(record, "id", location)
     return Researcher(
-        researcher_id=_require_str(record, "id", location),
+        researcher_id=ids.setdefault(rid, rid),
         name_variants=tuple(names),
         orcid=orcid,
         gender=_parse_gender(record.get("gender"), location),
@@ -341,7 +344,7 @@ def _researcher_from_json(record: dict, location: str) -> Researcher:
     )
 
 
-def _publication_from_json(record: dict, location: str) -> Publication:
+def _publication_from_json(record: dict, location: str, ids: dict[str, str]) -> Publication:
     authors = record.get("authors")
     if not isinstance(authors, list) or not authors or not all(
         isinstance(a, str) and a for a in authors
@@ -352,20 +355,14 @@ def _publication_from_json(record: dict, location: str) -> Publication:
     count = record.get("citation_count")
     if count is not None:
         count = _require_int(count, "citation_count", location)
+    pid = _require_str(record, "id", location)
     return Publication(
-        pub_id=_require_str(record, "id", location),
+        pub_id=ids.setdefault(pid, pid),
         title=_require_str(record, "title", location),
         year=_require_int(record.get("year"), "year", location),
-        author_ids=tuple(authors),
+        author_ids=tuple(map(ids.setdefault, authors, authors)),
         discipline=_parse_discipline(record.get("discipline"), location),
         source_citation_count=count,
-    )
-
-
-def _edge_from_json(record: dict, location: str) -> CitationEdge:
-    return CitationEdge(
-        citing_id=_require_str(record, "citing", location),
-        cited_id=_require_str(record, "cited", location),
     )
 
 
@@ -403,11 +400,37 @@ def _open_lines(source) -> tuple[io.IOBase, str, bool]:
     raise TypeError(f"cannot read corpus from {type(source).__name__}")
 
 
+# The scanner json.loads runs (the C one where the build has it), without
+# the wrapper around it. It keeps no state between calls.
+_scan_json = make_scanner(json.JSONDecoder())
+
+
+def _decode_line(line: str):
+    """``json.loads(line)`` in one call of the C scanner where that is exact.
+
+    The scanner's value stands only when it consumed the whole line. Any
+    other line (leading or trailing whitespace, a BOM, trailing data, a
+    syntax error) goes to ``json.loads``, which returns or raises as it
+    always has.
+    """
+    try:
+        value, end = _scan_json(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
+
+
 def _parse_jsonl(source) -> Corpus:
     stream, label, needs_close = _open_lines(source)
     researchers: list[Researcher] = []
     publications: list[Publication] = []
     edges: list[CitationEdge] = []
+    # Equal ids share one str: researcher, publication, author, citing and
+    # cited ids all pass through this table. A local table rather than
+    # sys.intern, whose strings newer CPythons keep for the whole process.
+    ids: dict[str, str] = {}
+    share = ids.setdefault
+    decode = _decode_line
     try:
         for lineno, line in enumerate(stream, start=1):
             if isinstance(line, bytes):
@@ -420,22 +443,39 @@ def _parse_jsonl(source) -> Corpus:
             line = line.strip()
             if not line:
                 continue
-            location = f"{label} line {lineno}"
             try:
-                record = json.loads(line)
+                record = decode(line)
             except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON ({exc.msg})", location) from None
+                raise MalformedRecord(
+                    f"invalid JSON ({exc.msg})", f"{label} line {lineno}"
+                ) from None
             if not isinstance(record, dict):
-                raise MalformedRecord("record must be a JSON object", location)
+                raise MalformedRecord(
+                    "record must be a JSON object", f"{label} line {lineno}"
+                )
             kind = record.get("kind")
-            if kind == "researcher":
-                researchers.append(_researcher_from_json(record, location))
+            if kind == "citation":
+                citing = record.get("citing")
+                cited = record.get("cited")
+                if not (
+                    isinstance(citing, str) and citing and isinstance(cited, str) and cited
+                ):
+                    location = f"{label} line {lineno}"
+                    _require_str(record, "citing", location)
+                    _require_str(record, "cited", location)  # one of the two raises
+                edges.append(CitationEdge(share(citing, citing), share(cited, cited)))
+            elif kind == "researcher":
+                researchers.append(
+                    _researcher_from_json(record, f"{label} line {lineno}", ids)
+                )
             elif kind == "publication":
-                publications.append(_publication_from_json(record, location))
-            elif kind == "citation":
-                edges.append(_edge_from_json(record, location))
+                publications.append(
+                    _publication_from_json(record, f"{label} line {lineno}", ids)
+                )
             else:
-                raise MalformedRecord(f"unknown record kind {kind!r}", location)
+                raise MalformedRecord(
+                    f"unknown record kind {kind!r}", f"{label} line {lineno}"
+                )
     finally:
         if needs_close:
             stream.close()
@@ -478,6 +518,8 @@ def _parse_csv_bundle(source) -> Corpus:
     researchers: list[Researcher] = []
     publications: list[Publication] = []
     edges: list[CitationEdge] = []
+    ids: dict[str, str] = {}  # equal ids share one str, as in _parse_jsonl
+    share = ids.setdefault
 
     for row, location in _csv_rows(
         base / "researchers.csv", ["id", "names", "orcid", "gender", "discipline", "first_pub_year"]
@@ -490,7 +532,7 @@ def _parse_csv_bundle(source) -> Corpus:
         fp_cell = row["first_pub_year"].strip()
         researchers.append(
             Researcher(
-                researcher_id=row["id"],
+                researcher_id=share(row["id"], row["id"]),
                 name_variants=names,
                 orcid=row["orcid"] or None,
                 gender=_parse_gender(row["gender"], location),
@@ -505,12 +547,13 @@ def _parse_csv_bundle(source) -> Corpus:
         if not row["id"] or not row["title"]:
             raise MalformedRecord("empty id or title", location)
         count_cell = (row.get("citation_count") or "").strip()
+        authors = _split_multi(row["authors"])
         publications.append(
             Publication(
-                pub_id=row["id"],
+                pub_id=share(row["id"], row["id"]),
                 title=row["title"],
                 year=_int_cell(row["year"], "year", location),
-                author_ids=_split_multi(row["authors"]),
+                author_ids=tuple(map(share, authors, authors)),
                 discipline=_parse_discipline(row["discipline"], location),
                 source_citation_count=_int_cell(count_cell, "citation_count", location)
                 if count_cell
@@ -519,9 +562,10 @@ def _parse_csv_bundle(source) -> Corpus:
         )
 
     for row, location in _csv_rows(base / "citations.csv", ["citing", "cited"]):
-        if not row["citing"] or not row["cited"]:
+        citing, cited = row["citing"], row["cited"]
+        if not citing or not cited:
             raise MalformedRecord("empty citing or cited id", location)
-        edges.append(CitationEdge(citing_id=row["citing"], cited_id=row["cited"]))
+        edges.append(CitationEdge(share(citing, citing), share(cited, cited)))
 
     provenance = Provenance(source=str(base), format_version=f"csv_bundle/{FORMAT_VERSION}")
     return Corpus.from_parts(researchers, publications, edges, provenance)
@@ -558,33 +602,38 @@ def _publication_to_json(p: Publication) -> dict:
     return record
 
 
+# json.dumps(record, ensure_ascii=False, separators=(",", ":")) without
+# building an encoder per record
+_encode_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
+    """The canonical JSONL lines of a corpus, each ending in a newline."""
+    if not corpus.researchers:  # so no publications and no citations either
+        yield "\n"
+        return
+    for rid in sorted(corpus.researchers):
+        yield _encode_compact(_researcher_to_json(corpus.researchers[rid])) + "\n"
+    for pid in sorted(corpus.publications):
+        yield _encode_compact(_publication_to_json(corpus.publications[pid])) + "\n"
+    for edge in sorted(corpus.edges, key=attrgetter("citing_id", "cited_id")):
+        record = {"kind": "citation", "citing": edge.citing_id, "cited": edge.cited_id}
+        yield _encode_compact(record) + "\n"
+
+
 def serialize_corpus(corpus: Corpus) -> str:
     """Render a corpus to canonical JSONL text.
 
     Records are sorted (researchers, then publications, then citations, each
     by identifier), so equal corpora serialize to byte-identical text.
     """
-    lines = []
-    for rid in sorted(corpus.researchers):
-        lines.append(json.dumps(
-            _researcher_to_json(corpus.researchers[rid]),
-            ensure_ascii=False, separators=(",", ":"),
-        ))
-    for pid in sorted(corpus.publications):
-        lines.append(json.dumps(
-            _publication_to_json(corpus.publications[pid]),
-            ensure_ascii=False, separators=(",", ":"),
-        ))
-    for edge in sorted(corpus.edges, key=lambda e: e.pair):
-        lines.append(json.dumps(
-            {"kind": "citation", "citing": edge.citing_id, "cited": edge.cited_id},
-            ensure_ascii=False, separators=(",", ":"),
-        ))
-    return "\n".join(lines) + "\n"
+    return "".join(_jsonl_lines(corpus))
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    Path(path).write_text(serialize_corpus(corpus), encoding="utf-8", newline="\n")
+    """Write :func:`serialize_corpus`'s text line by line, never all at once."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_jsonl_lines(corpus))
 
 
 # ---------------------------------------------------------------------------

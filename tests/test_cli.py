@@ -682,6 +682,27 @@ def test_console_script_runs(tmp_path, two_papers_path):
     assert (tmp_path / "out" / "reports.json").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "calibrate"])
+def test_commands_import_only_what_they_run(command, tmp_path):
+    """numpy (synth only), urllib.request (file:// input only) and xml.sax
+    stay out of a run that does not need them."""
+    code = (
+        "import json, sys\n"
+        "import selfcite.cli\n"
+        "status = selfcite.cli.main(sys.argv[1:])\n"
+        "heavy = ['numpy', 'urllib.request', 'xml.sax']\n"
+        "print(json.dumps([status, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    output = tmp_path / ("analysis" if command == "analyze" else "profiles.json")
+    argv = [command, str(DATA / "e2e_corpus.jsonl"), "--output", str(output)]
+    if command == "analyze":
+        argv += ["--reference-year", "2024"]
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+    )
+    assert json.loads(result.stdout) == [EXIT_OK, []]
+
+
 # ---------------------------------------------------------------------------
 # benchmark driver
 # ---------------------------------------------------------------------------

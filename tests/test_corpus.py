@@ -1,9 +1,11 @@
+import dataclasses
 import io
 import json
 from datetime import date
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfcite.corpus import (
     CitationEdge,
@@ -20,6 +22,7 @@ from selfcite.corpus import (
     Researcher,
     UnknownResearcher,
     WarningCode,
+    _decode_line,
     derive_first_pub_year,
     max_valid_year,
     parse_corpus,
@@ -336,3 +339,101 @@ def test_serialization_roundtrip_property(corpus):
     assert reparsed.researchers == corpus.researchers
     assert reparsed.publications == corpus.publications
     assert set(e.pair for e in reparsed.edges) == set(e.pair for e in corpus.edges)
+
+
+def test_write_corpus_streams_serialize_corpus_bytes(tmp_path, researcher_mid_path):
+    for corpus in (parse_corpus(researcher_mid_path), make_corpus([], [], [])):
+        out = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, out)
+        assert out.read_bytes() == serialize_corpus(corpus).encode("utf-8")
+    assert serialize_corpus(make_corpus([], [], [])) == "\n"
+
+
+# ---------------------------------------------------------------------------
+# Lean ingest: the line decoder, shared id strings, slotted records
+# ---------------------------------------------------------------------------
+
+# Pieces of JSON and of things json.loads must reject: a BOM, trailing data,
+# non-finite numbers, big integers, lone surrogates, duplicate keys, control
+# characters and whitespace that str.strip removes but JSON does not allow.
+JSON_FRAGMENTS = [
+    "{", "}", "[", "]", ",", ":", '"', "\\", '"kind"', '"citation"', '"k"',
+    "1", "-0", "2.5e3", "123456789012345678901234567890", "NaN", "-Infinity",
+    "Infinity", "true", "false", "null", '"\\ud800"', '"\\udc00x"', "\ud800",
+    '"\\u00e9"', '"\u00e9"', "\ufeff", "{} {}", "{}x", '{"a":1,"a":2}', '"a\tb"',
+    "\x00", "\x1f", " ", "\t", "\r", "\n", "\x0b", "\x0c", "\x85", "\xa0",
+    "\u2028", "\u3000", "x",
+]
+json_fragments = st.sampled_from(JSON_FRAGMENTS)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+json_lines = st.one_of(
+    st.lists(json_fragments, max_size=12).map("".join),
+    st.tuples(
+        st.lists(json_fragments, max_size=2).map("".join),
+        st.builds(json.dumps, json_values, ensure_ascii=st.booleans()),
+        st.lists(json_fragments, max_size=2).map("".join),
+    ).map("".join),
+)
+
+
+def _decode_outcome(decode, line):
+    try:
+        return ("value", repr(decode(line)))  # repr: NaN equals itself
+    except json.JSONDecodeError as exc:
+        return ("error", exc.msg, exc.pos)
+
+
+@settings(max_examples=400, deadline=None)
+@given(line=json_lines)
+def test_line_decoder_matches_json_loads(line):
+    for text in (line, line.strip()):
+        assert _decode_outcome(_decode_line, text) == _decode_outcome(json.loads, text)
+
+
+def _assert_ids_shared(corpus):
+    assert corpus.edges
+    for edge in corpus.edges:
+        assert edge.citing_id is corpus.publications[edge.citing_id].pub_id
+        assert edge.cited_id is corpus.publications[edge.cited_id].pub_id
+    for pub in corpus.publications.values():
+        for author_id in pub.author_ids:
+            assert author_id is corpus.researchers[author_id].researcher_id
+
+
+@pytest.mark.parametrize(
+    "source", ["path", "text stream", "byte stream", "reversed lines", "csv bundle"]
+)
+def test_parsed_ids_share_one_string(source, researcher_mid_path):
+    text = researcher_mid_path.read_text(encoding="utf-8")
+    if source == "path":
+        corpus = parse_corpus(researcher_mid_path)
+    elif source == "text stream":
+        corpus = parse_corpus(io.StringIO(text))
+    elif source == "byte stream":
+        corpus = parse_corpus(io.BytesIO(text.encode("utf-8")))
+    elif source == "reversed lines":  # citations before the records they name
+        corpus = parse_corpus(io.StringIO("\n".join(reversed(text.splitlines()))))
+    else:
+        corpus = parse_corpus(DATA / "csv_bundle", CorpusFormat.CSV_BUNDLE)
+    _assert_ids_shared(corpus)
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (simple_researcher("R"), "researcher_id"),
+        (simple_pub("P", 2000, ["R"]), "year"),
+        (CitationEdge("P1", "P2"), "cited_id"),
+        (Provenance("test", "jsonl/1"), "source"),
+    ],
+    ids=lambda value: type(value).__name__ if not isinstance(value, str) else value,
+)
+def test_records_are_slotted_and_frozen(record, field):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
