@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring
 from json.scanner import make_scanner
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -616,9 +616,11 @@ def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
         yield _encode_compact(_researcher_to_json(corpus.researchers[rid])) + "\n"
     for pid in sorted(corpus.publications):
         yield _encode_compact(_publication_to_json(corpus.publications[pid])) + "\n"
-    for edge in sorted(corpus.edges, key=attrgetter("citing_id", "cited_id")):
-        record = {"kind": "citation", "citing": edge.citing_id, "cited": edge.cited_id}
-        yield _encode_compact(record) + "\n"
+    # _encode_compact's bytes for {"kind": "citation", "citing": c, "cited": d},
+    # quoting each id with the function that encoder uses
+    quote = encode_basestring
+    for citing, cited in sorted([(e.citing_id, e.cited_id) for e in corpus.edges]):
+        yield f'{{"kind":"citation","citing":{quote(citing)},"cited":{quote(cited)}}}\n'
 
 
 def serialize_corpus(corpus: Corpus) -> str:

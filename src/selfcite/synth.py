@@ -24,7 +24,8 @@ within a fixed horizon after the self-citation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -119,8 +120,11 @@ class GeneratorSpec:
                     f"{where}: target_mean_scr must be in [0, 1], "
                     f"got {group.target_mean_scr}"
                 )
-            if group.target_mean_h < 0:
-                raise InvalidSpec(f"{where}: target_mean_h must be >= 0")
+            if not 0 <= group.target_mean_h < math.inf:
+                raise InvalidSpec(
+                    f"{where}: target_mean_h must be finite and >= 0, "
+                    f"got {group.target_mean_h}"
+                )
             if group.career_stage is not None:
                 min_offset = _STAGE_OFFSETS[group.career_stage][0]
                 if span < min_offset:
@@ -129,8 +133,10 @@ class GeneratorSpec:
                         f"a first publication at least {min_offset} years before "
                         f"{self.years.end}, but the range starts at {self.years.start}"
                     )
-        if self.compounding_rate < 0:
-            raise InvalidSpec("compounding_rate must be >= 0")
+        if not 0 <= self.compounding_rate < math.inf:
+            raise InvalidSpec(
+                f"compounding_rate must be finite and >= 0, got {self.compounding_rate}"
+            )
         if self.compounding_horizon_years < 1:
             raise InvalidSpec("compounding_horizon_years must be >= 1")
 
@@ -185,14 +191,14 @@ def load_generator_spec(path) -> GeneratorSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _CiterBundle:
     """An open citing publication of one researcher with spare reference slots."""
 
     pub_id: str
     year: int
     slots_left: int
-    targets: set = field(default_factory=set)
+    targets: set[str]
 
 
 class _Builder:
@@ -203,8 +209,8 @@ class _Builder:
         self.by_id: dict[str, Researcher] = {}
         self.publications: list[Publication] = []
         self.edges: list[CitationEdge] = []
-        self.edge_pairs: set[tuple[str, str]] = set()
-        # researcher id -> open citing bundles, reused until slots run out
+        # researcher id -> open citing bundles in creation order; a bundle
+        # leaves the list when its last slot is taken
         self.bundles: dict[str, list[_CiterBundle]] = {}
         self.citer_serial = 0
 
@@ -233,18 +239,18 @@ class _Builder:
     def new_citing_slot(self, citer_id: str, min_year: int, target_pub: str) -> str:
         """A publication of ``citer_id`` able to cite ``target_pub``.
 
-        Reuses an open bundle when its year works and it has slots left,
-        otherwise synthesizes a fresh citing publication. Never returns a
-        publication already citing the same target, so edges stay unique.
+        Reuses the first open bundle whose year works, otherwise synthesizes
+        a fresh citing publication. Never returns a publication already
+        citing the same target, so edges stay unique; ``Corpus.from_parts``
+        is the one check that they do.
         """
-        for bundle in self.bundles.setdefault(citer_id, []):
-            if (
-                bundle.year >= min_year
-                and bundle.slots_left > 0
-                and target_pub not in bundle.targets
-            ):
+        bundles = self.bundles.setdefault(citer_id, [])
+        for i, bundle in enumerate(bundles):
+            if bundle.year >= min_year and target_pub not in bundle.targets:
                 bundle.slots_left -= 1
                 bundle.targets.add(target_pub)
+                if not bundle.slots_left:
+                    del bundles[i]
                 return bundle.pub_id
         self.citer_serial += 1
         year = int(self.rng.integers(min_year, self.spec.years.end + 1))
@@ -257,18 +263,16 @@ class _Builder:
             author_ids=(citer_id,),
             discipline=citer.discipline,
         ))
-        bundle = _CiterBundle(
-            pub_id=pub_id, year=year, slots_left=CITER_PUB_CAPACITY - 1
-        )
-        bundle.targets.add(target_pub)
-        self.bundles[citer_id].append(bundle)
+        if CITER_PUB_CAPACITY > 1:
+            bundles.append(_CiterBundle(
+                pub_id=pub_id,
+                year=year,
+                slots_left=CITER_PUB_CAPACITY - 1,
+                targets={target_pub},
+            ))
         return pub_id
 
     def add_edge(self, citing: str, cited: str) -> None:
-        pair = (citing, cited)
-        if pair in self.edge_pairs:
-            raise AssertionError(f"generator produced duplicate edge {pair}")
-        self.edge_pairs.add(pair)
         self.edges.append(CitationEdge(citing_id=citing, cited_id=cited))
 
 
@@ -326,12 +330,10 @@ def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
             h_target = group.target_mean_h
             n_pubs = max(1, round(PUBS_PER_H * h_target + float(rng.uniform(-2, 2))))
 
+            pub_years = [first_year]
+            pub_years += rng.integers(first_year, years.end + 1, size=n_pubs - 1).tolist()
             pub_ids = []
-            pub_years = []
-            for pj in range(n_pubs):
-                year = first_year if pj == 0 else int(
-                    rng.integers(first_year, years.end + 1)
-                )
+            for pj, year in enumerate(pub_years):
                 pid = f"P-{rid}-{pj:04d}"
                 builder.publications.append(Publication(
                     pub_id=pid,
@@ -341,19 +343,18 @@ def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
                     discipline=group.discipline,
                 ))
                 pub_ids.append(pid)
-                pub_years.append(year)
 
+            # One block draw per quantity consumes the stream exactly as a
+            # scalar draw per publication would; binomial draws nothing for
+            # a zero total.
             if h_target > 0:
                 mu = float(np.log(COUNT_MEDIAN_SCALE * h_target))
                 totals = [
-                    int(round(float(rng.lognormal(mu, COUNT_SIGMA))))
-                    for _ in range(n_pubs)
+                    round(c) for c in rng.lognormal(mu, COUNT_SIGMA, size=n_pubs).tolist()
                 ]
+                selves = rng.binomial(totals, scr_i).tolist()
             else:
-                totals = [0] * n_pubs
-            selves = [
-                int(rng.binomial(c, scr_i)) if c > 0 else 0 for c in totals
-            ]
+                totals = selves = [0] * n_pubs
 
             extra_serial = 0
             for pj, pid in enumerate(pub_ids):
@@ -426,8 +427,8 @@ def apply_compounding(
     horizon after the self-citation (clamped to the latest valid year).
     The input corpus is never modified; rate 0 returns it unchanged.
     """
-    if rate < 0:
-        raise InvalidRate(f"rate must be >= 0, got {rate}")
+    if not 0 <= rate < math.inf:
+        raise InvalidRate(f"rate must be finite and >= 0, got {rate}")
     if horizon_years < 1:
         raise InvalidRate(f"horizon must be >= 1 year, got {horizon_years}")
     if rate == 0:

@@ -513,6 +513,18 @@ def test_synth_cli_invalid_group_size(tmp_path, capsys):
     assert last_stderr_record(capsys)["error"] == "InvalidSpec"
 
 
+def test_synth_cli_nan_compounding_rate(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps(dict(minimal_spec(), compounding_rate=float("nan"))), encoding="utf-8"
+    )
+    assert "NaN" in spec_path.read_text(encoding="utf-8")
+    code = main(["synth", str(spec_path), "--output", str(tmp_path / "c.jsonl")])
+    assert code == EXIT_USAGE
+    assert last_stderr_record(capsys)["error"] == "InvalidSpec"
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_synth_cli_missing_spec(tmp_path, capsys):
     code = main(
         ["synth", str(tmp_path / "no.json"), "--output", str(tmp_path / "c.jsonl")]
@@ -709,8 +721,8 @@ def test_commands_import_only_what_they_run(command, tmp_path):
 
 
 def test_traced_driver_matches_cli(tmp_path):
-    """bench/traced.py replays calibrate and analyze through the library's
-    public names; it must import cleanly and write the CLI's bytes."""
+    """bench/traced.py replays synth, calibrate and analyze through the
+    library's public names; it must import cleanly and write the CLI's bytes."""
     root = Path(__file__).resolve().parents[1]
     source = str(DATA / "e2e_corpus.jsonl")
     env = dict(os.environ)
@@ -736,6 +748,9 @@ def test_traced_driver_matches_cli(tmp_path):
     cli, bench = tmp_path / "cli", tmp_path / "bench"
     for out in (cli, bench):
         out.mkdir()
+    spec = str(DATA / "e2e_spec.json")
+    assert main(["synth", spec, "--output", str(cli / "corpus.jsonl")]) == 0
+    traced("synth", spec, str(bench / "corpus.jsonl"))
     assert main(["calibrate", source, "--output", str(cli / "profiles.json")]) == 0
     assert main(
         [
@@ -759,6 +774,7 @@ def test_traced_driver_matches_cli(tmp_path):
         "2024",
     )
     for name in (
+        "corpus.jsonl",
         "profiles.json",
         "analysis/reports.json",
         "analysis/cohort_discipline.csv",

@@ -23,6 +23,7 @@ from selfcite.corpus import (
     UnknownResearcher,
     WarningCode,
     _decode_line,
+    _encode_compact,
     derive_first_pub_year,
     max_valid_year,
     parse_corpus,
@@ -347,6 +348,48 @@ def test_write_corpus_streams_serialize_corpus_bytes(tmp_path, researcher_mid_pa
         write_corpus(corpus, out)
         assert out.read_bytes() == serialize_corpus(corpus).encode("utf-8")
     assert serialize_corpus(make_corpus([], [], [])) == "\n"
+
+
+# Characters the JSON string encoder escapes (quote, backslash, control
+# characters) or passes through as they are (DEL, U+2028, non-BMP
+# characters, lone surrogates).
+ID_CHARS = [
+    '"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001f600", "\ud800", "\udfff", "a",
+]
+escaped_ids = st.text(
+    alphabet=st.sampled_from(ID_CHARS) | st.characters(), min_size=1, max_size=5
+)
+
+
+@st.composite
+def escaped_id_corpora(draw):
+    pids = draw(st.lists(escaped_ids, min_size=2, max_size=6, unique=True))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pids), st.sampled_from(pids)).filter(
+                lambda pair: pair[0] != pair[1]
+            ),
+            max_size=12,
+            unique=True,
+        )
+    )
+    return make_corpus(
+        [simple_researcher("R")],
+        [simple_pub(pid, 2000, ["R"]) for pid in pids],
+        [CitationEdge(citing, cited) for citing, cited in pairs],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus=escaped_id_corpora())
+def test_citation_lines_match_the_encoder(corpus):
+    lines = [line + "\n" for line in serialize_corpus(corpus).split("\n")[:-1]]
+    expected = [
+        _encode_compact({"kind": "citation", "citing": e.citing_id, "cited": e.cited_id})
+        + "\n"
+        for e in sorted(corpus.edges, key=lambda e: (e.citing_id, e.cited_id))
+    ]
+    assert lines[len(lines) - len(expected):] == expected
 
 
 # ---------------------------------------------------------------------------

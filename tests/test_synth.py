@@ -1,3 +1,7 @@
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +17,7 @@ from selfcite.corpus import (
 )
 from selfcite.identity import SelfCitationMode, classify_self_citation, count_citations
 from selfcite.metrics import compute_h_index
+from selfcite import synth
 from selfcite.synth import (
     GeneratorSpec,
     GroupSpec,
@@ -25,7 +30,7 @@ from selfcite.synth import (
     spec_from_json,
 )
 
-from conftest import make_corpus, simple_pub, simple_researcher, small_corpora
+from conftest import DATA, make_corpus, simple_pub, simple_researcher, small_corpora
 
 YEARS = YearRange(1985, 2024)
 
@@ -58,6 +63,9 @@ def test_spec_requires_groups():
         {"scr": 1.5},
         {"scr": -0.1},
         {"h": -1},
+        {"h": float("nan")},
+        {"h": float("inf")},
+        {"scr": float("nan")},
     ],
 )
 def test_spec_rejects_bad_group_values(kwargs):
@@ -106,6 +114,9 @@ def test_spec_rejects_bad_compounding():
         GeneratorSpec(
             seed=1, groups=(group,), years=YEARS, compounding_horizon_years=0
         )
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec):
+            GeneratorSpec(seed=1, groups=(group,), years=YEARS, compounding_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +345,92 @@ def test_multiple_groups_sized_correctly():
     assert len(eng) == 3 and len(hum) == 2
 
 
+def _group(discipline, n, scr, h, **extra):
+    return {
+        "discipline": discipline,
+        "n_researchers": n,
+        "target_mean_scr": scr,
+        "target_mean_h": h,
+        **extra,
+    }
+
+
+def _raw_spec(*groups):
+    return {
+        "seed": 2024,
+        "years": {"start": 1985, "end": 2024},
+        "compounding_rate": 0.0,
+        "groups": list(groups),
+    }
+
+
+def _six_disciplines(per_group):
+    raw = json.loads((DATA / "six_disciplines_spec.json").read_text(encoding="utf-8"))
+    for group in raw["groups"]:
+        group["n_researchers"] = per_group
+    return raw
+
+
+# sha1 of serialize_corpus(generate_synthetic_corpus(spec)). No spec
+# compounds, so no digest depends on the calendar. ROADMAP items 2 (exact
+# group SCR means) and 3 (pinned as-of year) will change these digests on
+# purpose; whoever changes them records it in CHANGES.md.
+PINNED_SYNTH = [
+    pytest.param(
+        json.loads((DATA / "e2e_spec.json").read_text(encoding="utf-8")),
+        "d72017f0d8bf04f6ba756bc70f942a6fb3728027",
+        id="e2e_spec",
+    ),
+    pytest.param(
+        _six_disciplines(30),
+        "dab723b5d440d259ddcdb14fc5fa4c389953ffec",
+        id="six_disciplines_30",
+    ),
+    pytest.param(
+        # h 0 and 0.5 give one-paper researchers, whose block year draw is
+        # empty; SCR 0 and 1 are the binomial's end points
+        _raw_spec(
+            _group("Humanities", 5, 0.1, 0),
+            _group("Engineering", 8, 0.2, 0.5),
+            _group("LifeSciences", 5, 0.0, 6),
+            _group("PhysicalSciences", 5, 1.0, 6),
+        ),
+        "cf5ebdb70d1cfbf3cc6ab912cdcd38ded6ca8c68",
+        id="edge_targets",
+    ),
+    pytest.param(
+        # one researcher: every external citation comes from the pool
+        _raw_spec(_group("ComputerScience", 1, 0.2, 8)),
+        "a3c9f08e005ded5053e0acc6d9533e0ec53602f8",
+        id="single_researcher",
+    ),
+    pytest.param(
+        _raw_spec(
+            _group("SocialSciences", 4, 0.15, 4, gender="female", career_stage="EarlyCareer"),
+            _group("SocialSciences", 4, 0.15, 7, gender="male", career_stage="MidCareer"),
+            _group("Engineering", 4, 0.22, 12, career_stage="Senior"),
+        ),
+        "285af459d15188023ed5d59eda5c54735ee2db77",
+        id="career_stages",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, sha1", PINNED_SYNTH)
+def test_synth_bytes_pinned(raw, sha1):
+    corpus = generate_synthetic_corpus(spec_from_json(raw))
+    assert hashlib.sha1(serialize_corpus(corpus).encode("utf-8")).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("capacity", [synth.CITER_PUB_CAPACITY, 1])
+def test_citing_publications_hold_at_most_capacity(monkeypatch, capacity):
+    monkeypatch.setattr(synth, "CITER_PUB_CAPACITY", capacity)
+    corpus = generate_synthetic_corpus(spec_from_json(_six_disciplines(30)))
+    references = Counter(e.citing_id for e in corpus.edges if e.citing_id.startswith("Q"))
+    # some synthesized citing publication fills up, and none overflows
+    assert max(references.values()) == capacity
+
+
 # ---------------------------------------------------------------------------
 # compounding
 # ---------------------------------------------------------------------------
@@ -394,6 +491,12 @@ def test_compounding_rejects_bad_rate():
         apply_compounding(corpus, -0.5)
     with pytest.raises(InvalidRate):
         apply_compounding(corpus, 1.0, horizon_years=0)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+def test_compounding_rejects_non_finite_rate(rate):
+    with pytest.raises(InvalidRate):
+        apply_compounding(chain_corpus(), rate)
 
 
 def test_compounding_zero_rate_is_identity():
