@@ -18,19 +18,15 @@ inputs, and 4 for internal invariant violations.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from .calibration import (
-    FieldProfile,
     InsufficientCohort,
     MalformedProfileFile,
     default_profiles,
@@ -41,7 +37,7 @@ from .calibration import (
 )
 from .charts import render_bar_chart
 from .cohort import Dimension, cohort_aggregate, summaries_to_csv
-from .corpus import Corpus, CorpusError, CorpusFormat, Discipline, MalformedRecord
+from .corpus import Corpus, CorpusError, CorpusFormat, MalformedRecord
 from .identity import SelfCitationMode
 from .metrics import (
     MetricParams,
@@ -72,6 +68,17 @@ HISTOGRAM_TITLE = "Distribution of SCAI Adjustments"
 HISTOGRAM_X_LABEL = "Adjustment Magnitude (%)"
 HISTOGRAM_Y_LABEL = "Frequency"
 
+COHORT_FILES = {
+    "cohort_discipline.csv": Dimension.DISCIPLINE,
+    "cohort_gender.csv": Dimension.GENDER,
+    "cohort_career_stage.csv": Dimension.CAREER_STAGE,
+}
+
+_MODE_FLAGS = {
+    "focal": SelfCitationMode.FOCAL,
+    "any-overlap": SelfCitationMode.ANY_OVERLAP,
+}
+
 
 class NoEligibleReports(ValueError):
     """Every report has h = 0; no adjustment distribution exists."""
@@ -79,31 +86,20 @@ class NoEligibleReports(ValueError):
 
 def _require_output_parent(output_path) -> None:
     parent = Path(output_path).resolve().parent
-    if not parent.exists():
-        raise ValueError(f"output parent directory {parent} does not exist")
+    if not parent.is_dir():
+        raise ValueError(f"output parent {parent} is not an existing directory")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    input_locator: str
-    output_path: str
-    max_papers: Optional[int] = None
-    max_citations: Optional[int] = None
-    visible: bool = False
-    self_citation_mode: SelfCitationMode = SelfCitationMode.FOCAL
-    profiles_path: Optional[str] = None
-    reference_year: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_papers is not None and self.max_papers < 1:
-            raise ValueError("--max-papers must be >= 1")
-        if self.max_citations is not None and self.max_citations < 1:
-            raise ValueError("--max-citations must be >= 1")
-        _require_output_parent(self.output_path)
+def _write_artifacts(out_dir, texts: dict[str, str]) -> None:
+    """Write each named text into ``out_dir`` as UTF-8 with LF line ends."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _progress(config_visible: bool, message: str) -> None:
-    if config_visible:
+def _progress(visible: bool, message: str) -> None:
+    if visible:
         print(message, file=sys.stderr)
 
 
@@ -122,7 +118,10 @@ def _input_path(locator) -> Path:
         from urllib.parse import urlparse
         from urllib.request import url2pathname
 
-        path = Path(url2pathname(urlparse(locator).path))
+        url = urlparse(locator)
+        if url.netloc not in ("", "localhost"):
+            raise ValueError(f"{locator}: a file:// URL must name no host or localhost")
+        path = Path(url2pathname(url.path))
     else:
         path = Path(locator)
     path.stat()  # raises FileNotFoundError, carrying the path, if absent
@@ -184,82 +183,69 @@ def _truncate(
     return truncated, info
 
 
-def _params_for(
-    profiles: dict[Discipline, FieldProfile], discipline: Discipline
-) -> MetricParams:
-    profile = profiles.get(discipline)
-    return profile.params if profile is not None else MetricParams()
+def run_analyze(args) -> int:
+    """Full pipeline for one corpus. Every artifact is computed before the
+    first is written, so a failed run leaves --output as it found it."""
+    if args.max_papers is not None and args.max_papers < 1:
+        raise ValueError("--max-papers must be >= 1")
+    if args.max_citations is not None and args.max_citations < 1:
+        raise ValueError("--max-citations must be >= 1")
+    mode = _MODE_FLAGS[args.self_citation_mode]
 
-
-def run_analyze(config: RunConfig) -> int:
-    """Full pipeline for one corpus; writes all artifacts under output_path."""
-    _progress(config.visible, f"loading corpus from {config.input_locator}")
-    corpus = _load_corpus(config.input_locator)
-    corpus, truncation = _truncate(corpus, config.max_papers, config.max_citations)
+    _progress(args.visible, f"loading corpus from {args.input}")
+    corpus = _load_corpus(args.input)
+    corpus, truncation = _truncate(corpus, args.max_papers, args.max_citations)
     if truncation["truncated"]:
         _progress(
-            config.visible,
+            args.visible,
             f"truncated to {truncation['publications_after']} publications, "
             f"{truncation['citations_after']} citations",
         )
 
-    if config.profiles_path is not None:
-        profiles = load_profiles(_input_path(config.profiles_path))
+    if args.profiles is not None:
+        profiles = load_profiles(_input_path(args.profiles))
     else:
         profiles = default_profiles()
+    params = {discipline: profile.params for discipline, profile in profiles.items()}
+    default = MetricParams()
 
-    reports: list[MetricsReport] = []
-    for rid in sorted(corpus.researchers):
-        params = _params_for(profiles, corpus.researchers[rid].discipline)
-        reports.append(
-            compute_report(corpus, rid, params, config.self_citation_mode)
+    reports: list[MetricsReport] = [
+        compute_report(
+            corpus, rid, params.get(corpus.researchers[rid].discipline, default), mode
         )
-    _progress(config.visible, f"computed {len(reports)} researcher reports")
+        for rid in sorted(corpus.researchers)
+    ]
+    _progress(args.visible, f"computed {len(reports)} researcher reports")
 
-    out_dir = Path(config.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    reports_json = json.dumps(
-        [report_to_json(r) for r in reports], indent=2, ensure_ascii=False
-    )
-    (out_dir / "reports.json").write_text(
-        reports_json + "\n", encoding="utf-8", newline="\n"
-    )
-
-    cohort_files = {
-        "cohort_discipline.csv": Dimension.DISCIPLINE,
-        "cohort_gender.csv": Dimension.GENDER,
-        "cohort_career_stage.csv": Dimension.CAREER_STAGE,
+    artifacts = {
+        "reports.json": json.dumps(
+            [report_to_json(r) for r in reports], indent=2, ensure_ascii=False
+        )
+        + "\n"
     }
-    for filename, dimension in cohort_files.items():
-        summaries = cohort_aggregate(
-            reports, corpus, dimension, config.reference_year
+    for filename, dimension in COHORT_FILES.items():
+        artifacts[filename] = summaries_to_csv(
+            cohort_aggregate(reports, corpus, dimension, args.reference_year)
         )
-        (out_dir / filename).write_text(
-            summaries_to_csv(summaries), encoding="utf-8", newline="\n"
-        )
-
     manifest = {
         "tool_version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "input_locator": config.input_locator,
+        "input_locator": args.input,
         "corpus_provenance": {
             "source": corpus.provenance.source,
             "format_version": corpus.provenance.format_version,
         },
-        "self_citation_mode": config.self_citation_mode.value,
-        "reference_year": config.reference_year,
+        "self_citation_mode": mode.value,
+        "reference_year": args.reference_year,
         "truncation": truncation,
         "profiles": profiles_to_json(profiles),
         "researchers": len(corpus.researchers),
         "reports": len(reports),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
-    _progress(config.visible, f"wrote artifacts to {out_dir}")
+    artifacts["manifest.json"] = json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"
+
+    _write_artifacts(args.output, artifacts)
+    _progress(args.visible, f"wrote artifacts to {args.output}")
     return EXIT_OK
 
 
@@ -290,42 +276,53 @@ def emit_histogram(
         idx = min(int(adjustment_pct / width), bins - 1)
         counts[idx] += 1
 
-    out_dir = Path(output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
     edges = [i * width for i in range(bins + 1)]
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["bin_low_pct", "bin_high_pct", "count"])
-    for i, count in enumerate(counts):
-        writer.writerow([f"{edges[i]:.2f}", f"{edges[i + 1]:.2f}", count])
-    csv_path = out_dir / "histogram.csv"
-    csv_path.write_text(buffer.getvalue(), encoding="utf-8", newline="\n")
-
-    svg_path = out_dir / "histogram.svg"
-    svg_path.write_text(
-        render_bar_chart(
-            edges, counts, HISTOGRAM_TITLE, HISTOGRAM_X_LABEL, HISTOGRAM_Y_LABEL
-        ),
-        encoding="utf-8",
-        newline="\n",
+    rows = [
+        f"{edges[i]:.2f},{edges[i + 1]:.2f},{count}\n" for i, count in enumerate(counts)
+    ]
+    out_dir = Path(output_path)
+    _write_artifacts(
+        out_dir,
+        {
+            "histogram.csv": "bin_low_pct,bin_high_pct,count\n" + "".join(rows),
+            "histogram.svg": render_bar_chart(
+                edges, counts, HISTOGRAM_TITLE, HISTOGRAM_X_LABEL, HISTOGRAM_Y_LABEL
+            ),
+        },
     )
-    return csv_path, svg_path
+    return out_dir / "histogram.csv", out_dir / "histogram.svg"
 
 
-def run_synth(spec_path, output_path, visible: bool = False) -> int:
+def run_histogram(args) -> int:
+    """Bin the adjustments of a reports.json written by analyze."""
+    raw = _read_json(args.reports)
+    if not isinstance(raw, list):
+        raise MalformedRecord("reports file must hold a JSON array", args.reports)
+    try:
+        reports = [report_from_json(record) for record in raw]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedRecord(f"invalid report ({exc!r})", args.reports) from None
+    csv_path, svg_path = emit_histogram(reports, args.bins, args.output)
+    _progress(
+        args.visible,
+        f"binned {sum(r.h_index > 0 for r in reports)} of {len(reports)} reports "
+        f"into {args.bins} bins; wrote {csv_path} and {svg_path}",
+    )
+    return EXIT_OK
+
+
+def run_synth(args) -> int:
     """Generate a corpus from a spec file and write it as JSONL."""
     from .corpus import write_corpus
     from .synth import apply_compounding, generate_synthetic_corpus, spec_from_json
 
-    _require_output_parent(output_path)
-    spec = spec_from_json(_read_json(spec_path))
+    spec = spec_from_json(_read_json(args.spec))
 
-    _progress(visible, f"generating corpus with seed {spec.seed}")
+    _progress(args.visible, f"generating corpus with seed {spec.seed}")
     corpus = generate_synthetic_corpus(spec)
     if spec.compounding_rate > 0:
         _progress(
-            visible,
+            args.visible,
             f"applying compounding at rate {spec.compounding_rate} "
             f"over {spec.compounding_horizon_years} years",
         )
@@ -335,24 +332,19 @@ def run_synth(spec_path, output_path, visible: bool = False) -> int:
             spec.compounding_horizon_years,
             seed=spec.seed,
         )
-    write_corpus(corpus, output_path)
+    write_corpus(corpus, args.output)
     _progress(
-        visible,
+        args.visible,
         f"wrote {len(corpus.publications)} publications, "
-        f"{len(corpus.edges)} citations to {output_path}",
+        f"{len(corpus.edges)} citations to {args.output}",
     )
     return EXIT_OK
 
 
-def run_calibrate(
-    input_path,
-    output_path,
-    mode: SelfCitationMode = SelfCitationMode.FOCAL,
-    visible: bool = False,
-) -> int:
+def run_calibrate(args) -> int:
     """Estimate per-discipline beta from a corpus; defaults fill the gaps."""
-    _require_output_parent(output_path)
-    corpus = _load_corpus(input_path)
+    mode = _MODE_FLAGS[args.self_citation_mode]
+    corpus = _load_corpus(args.input)
     profiles = default_profiles()
     for discipline in sorted(profiles, key=lambda d: d.value):
         try:
@@ -360,17 +352,25 @@ def run_calibrate(
                 corpus, discipline, MetricParams(), mode
             )
             _progress(
-                visible,
+                args.visible,
                 f"{discipline.value}: beta={profiles[discipline].params.beta:.4f} "
                 f"from {profiles[discipline].sample_size} researchers",
             )
         except InsufficientCohort as exc:
             _progress(
-                visible,
+                args.visible,
                 f"{discipline.value}: kept default (cohort of {exc.count})",
             )
-    save_profiles(profiles, output_path)
+    save_profiles(profiles, args.output)
     return EXIT_OK
+
+
+_COMMANDS = {
+    "analyze": run_analyze,
+    "synth": run_synth,
+    "histogram": run_histogram,
+    "calibrate": run_calibrate,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -385,100 +385,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--visible", action="store_true", help="progress output on stderr")
+    common.add_argument("--debug", action="store_true", help="tracebacks on failure")
+    modal = argparse.ArgumentParser(add_help=False)
+    modal.add_argument("--self-citation-mode", choices=list(_MODE_FLAGS), default="focal")
+
     analyze = sub.add_parser(
-        "analyze", help="compute reports and cohort tables from a corpus"
+        "analyze",
+        parents=[common, modal],
+        help="compute reports and cohort tables from a corpus",
     )
     analyze.add_argument("input", help="corpus file (JSONL), CSV bundle directory, or file:// URL")
     analyze.add_argument("--output", required=True, help="output directory")
-    analyze.add_argument("--max-papers", type=int, default=None, metavar="MAX_PAPERS")
-    analyze.add_argument(
-        "--max-citations", type=int, default=None, metavar="MAX_CITATIONS"
-    )
-    analyze.add_argument(
-        "--visible", action="store_true", help="progress output on stderr"
-    )
-    analyze.add_argument(
-        "--debug", action="store_true", help="tracebacks on failure"
-    )
-    analyze.add_argument(
-        "--self-citation-mode",
-        choices=["focal", "any-overlap"],
-        default="focal",
-    )
+    analyze.add_argument("--max-papers", type=int, default=None)
+    analyze.add_argument("--max-citations", type=int, default=None)
     analyze.add_argument("--profiles", default=None, help="parameter profile JSON")
     analyze.add_argument("--reference-year", type=int, default=None)
 
-    synth = sub.add_parser("synth", help="generate a synthetic corpus")
+    synth = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
     synth.add_argument("spec", help="generator spec JSON file")
     synth.add_argument("--output", required=True, help="output corpus path (JSONL)")
-    synth.add_argument("--visible", action="store_true")
-    synth.add_argument("--debug", action="store_true")
 
     histogram = sub.add_parser(
-        "histogram", help="bin SCAI adjustments from a reports.json"
+        "histogram", parents=[common], help="bin SCAI adjustments from a reports.json"
     )
     histogram.add_argument("reports", help="reports.json produced by analyze")
     histogram.add_argument("--output", required=True, help="output directory")
     histogram.add_argument("--bins", type=int, default=5)
-    histogram.add_argument("--visible", action="store_true")
-    histogram.add_argument("--debug", action="store_true")
 
     calibrate = sub.add_parser(
-        "calibrate", help="estimate per-discipline parameters from a corpus"
+        "calibrate",
+        parents=[common, modal],
+        help="estimate per-discipline parameters from a corpus",
     )
-    calibrate.add_argument("input", help="corpus file (JSONL) or CSV bundle directory")
+    calibrate.add_argument("input", help="corpus file (JSONL), CSV bundle directory, or file:// URL")
     calibrate.add_argument("--output", required=True, help="profile JSON path")
-    calibrate.add_argument(
-        "--self-citation-mode", choices=["focal", "any-overlap"], default="focal"
-    )
-    calibrate.add_argument("--visible", action="store_true")
-    calibrate.add_argument("--debug", action="store_true")
     return parser
-
-
-_MODE_FLAGS = {
-    "focal": SelfCitationMode.FOCAL,
-    "any-overlap": SelfCitationMode.ANY_OVERLAP,
-}
-
-
-def _run_histogram(args) -> int:
-    raw = _read_json(args.reports)
-    if not isinstance(raw, list):
-        raise MalformedRecord("reports file must hold a JSON array", args.reports)
-    try:
-        reports = [report_from_json(record) for record in raw]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(f"invalid report ({exc!r})", args.reports) from None
-    emit_histogram(reports, args.bins, args.output)
-    return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            config = RunConfig(
-                input_locator=args.input,
-                output_path=args.output,
-                max_papers=args.max_papers,
-                max_citations=args.max_citations,
-                visible=args.visible,
-                self_citation_mode=_MODE_FLAGS[args.self_citation_mode],
-                profiles_path=args.profiles,
-                reference_year=args.reference_year,
-            )
-            return run_analyze(config)
-        if args.command == "synth":
-            return run_synth(args.spec, args.output, visible=args.visible)
-        if args.command == "histogram":
-            return _run_histogram(args)
-        return run_calibrate(
-            args.input,
-            args.output,
-            mode=_MODE_FLAGS[args.self_citation_mode],
-            visible=args.visible,
-        )
+        _require_output_parent(args.output)
+        return _COMMANDS[args.command](args)
     except Exception as exc:
         if args.debug:
             traceback.print_exc()

@@ -19,6 +19,7 @@ baseline. All arithmetic is 64-bit float; all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,12 +57,12 @@ class MetricParams:
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
-        if not (self.alpha >= 0):
-            raise InvalidParams(f"alpha must be >= 0, got {self.alpha}")
+        if not (0 <= self.alpha < math.inf):
+            raise InvalidParams(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (0 <= self.beta <= 1):
             raise InvalidParams(f"beta must be in [0, 1], got {self.beta}")
-        if not (self.gamma >= 1):
-            raise InvalidParams(f"gamma must be >= 1, got {self.gamma}")
+        if not (1 <= self.gamma < math.inf):
+            raise InvalidParams(f"gamma must be finite and >= 1, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from selfcite.cli import (
     EXIT_OK,
     EXIT_USAGE,
     NoEligibleReports,
-    RunConfig,
+    _build_parser,
     emit_histogram,
     main,
 )
@@ -40,29 +41,6 @@ def read_json(path):
 def last_stderr_record(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     return json.loads(err[-1])
-
-
-# ---------------------------------------------------------------------------
-# RunConfig
-# ---------------------------------------------------------------------------
-
-
-def test_runconfig_rejects_nonpositive_limits(tmp_path):
-    with pytest.raises(ValueError):
-        RunConfig("in.jsonl", str(tmp_path / "out"), max_papers=0)
-    with pytest.raises(ValueError):
-        RunConfig("in.jsonl", str(tmp_path / "out"), max_citations=-3)
-
-
-def test_runconfig_rejects_missing_output_parent(tmp_path):
-    with pytest.raises(ValueError):
-        RunConfig("in.jsonl", str(tmp_path / "a" / "b" / "out"))
-
-
-def test_runconfig_defaults(tmp_path):
-    config = RunConfig("in.jsonl", str(tmp_path / "out"))
-    assert config.max_papers is None
-    assert not config.visible
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +102,79 @@ def test_analyze_bad_output_parent_is_usage_error(tmp_path, two_papers_path, cap
         ]
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-papers", "0"), ("--max-citations", "-3")],
+    ids=["max-papers-0", "max-citations-minus-3"],
+)
+def test_analyze_rejects_nonpositive_limits(tmp_path, two_papers_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(["analyze", str(two_papers_path), "--output", str(out), flag, value])
+    assert code == EXIT_USAGE
+    record = last_stderr_record(capsys)
+    assert record["error"] == "ValueError"
+    assert record["message"] == f"{flag} must be >= 1"
+    assert not out.exists()
+
+
+def test_failed_analyze_creates_no_output(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    out = tmp_path / "out"
+    assert main(["analyze", str(empty), "--output", str(out)]) == EXIT_USAGE
+    assert last_stderr_record(capsys)["error"] == "EmptyInput"
+    assert not out.exists()
+
+
+def test_failed_analyze_keeps_previous_artifacts(tmp_path, two_papers_path, capsys):
+    out = tmp_path / "keep"
+    assert main(["analyze", str(two_papers_path), "--output", str(out)]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(before) == 5
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    assert main(["analyze", str(empty), "--output", str(out)]) == EXIT_USAGE
+    assert last_stderr_record(capsys)["error"] == "EmptyInput"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_analyze_rejects_infinite_profile_alpha(tmp_path, two_papers_path, capsys):
+    profiles_path = tmp_path / "profiles.json"
+    profiles_path.write_text(
+        '{"Engineering": {"alpha": Infinity, "beta": 0.1, "gamma": 1.5}}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    code = main(
+        ["analyze", str(two_papers_path), "--output", str(out), "--profiles", str(profiles_path)]
+    )
+    assert code == EXIT_INPUT
+    assert last_stderr_record(capsys)["error"] == "MalformedProfileFile"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "make_url, code",
+    [
+        (lambda path: path.resolve().as_uri(), EXIT_OK),
+        (lambda path: "file://localhost" + path.resolve().as_posix(), EXIT_OK),
+        (lambda path: "file://t/two_papers_one_selfcite.jsonl", EXIT_USAGE),
+    ],
+    ids=["no-host", "localhost", "other-host"],
+)
+def test_analyze_file_url_host(tmp_path, two_papers_path, capsys, make_url, code):
+    url = make_url(two_papers_path)
+    out = tmp_path / "out"
+    assert main(["analyze", url, "--output", str(out)]) == code
+    if code == EXIT_OK:
+        assert read_json(out / "reports.json")[0]["researcher_id"] == "A"
+    else:
+        record = last_stderr_record(capsys)
+        assert record["error"] == "ValueError"
+        assert url in record["message"]
+        assert not out.exists()
 
 
 def test_analyze_truncation_manifest(tmp_path, researcher_mid_path):
@@ -414,6 +465,20 @@ def test_histogram_cli_roundtrip(tmp_path, researcher_mid_path):
     assert (hist_out / "histogram.svg").exists()
 
 
+def test_histogram_cli_visible_progress(tmp_path, researcher_mid_path, capsys):
+    out = tmp_path / "analysis"
+    main(["analyze", str(researcher_mid_path), "--output", str(out)])
+    capsys.readouterr()
+    reports = str(out / "reports.json")
+    assert main(["histogram", reports, "--output", str(tmp_path / "quiet")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    hist_out = tmp_path / "loud"
+    assert main(["histogram", reports, "--output", str(hist_out), "--visible"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "into 5 bins" in err
+    assert str(hist_out / "histogram.csv") in err
+
+
 def test_histogram_cli_bad_bins(tmp_path, researcher_mid_path, capsys):
     out = tmp_path / "analysis"
     main(["analyze", str(researcher_mid_path), "--output", str(out)])
@@ -647,14 +712,25 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, command, make_input):
 @pytest.mark.parametrize(
     "command, source",
     [
+        ("analyze", DATA / "two_papers_one_selfcite.jsonl"),
         ("synth", DATA / "e2e_spec.json"),
+        ("histogram", DATA / "researcher_mid_report.json"),
         ("calibrate", DATA / "two_papers_one_selfcite.jsonl"),
     ],
-    ids=["synth", "calibrate"],
+    ids=["analyze", "synth", "histogram", "calibrate"],
 )
 def test_missing_output_parent_is_usage_error(tmp_path, capsys, command, source):
     output = tmp_path / "missing" / "out"
     code = main([command, str(source), "--output", str(output)])
+    assert code == EXIT_USAGE
+    assert last_stderr_record(capsys)["error"] == "ValueError"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_output_parent_that_is_a_file_is_usage_error(tmp_path, two_papers_path, capsys):
+    parent = tmp_path / "file"
+    parent.write_text("x", encoding="utf-8")
+    code = main(["analyze", str(two_papers_path), "--output", str(parent / "out")])
     assert code == EXIT_USAGE
     assert last_stderr_record(capsys)["error"] == "ValueError"
 
@@ -662,6 +738,66 @@ def test_missing_output_parent_is_usage_error(tmp_path, capsys, command, source)
 # ---------------------------------------------------------------------------
 # argument surface
 # ---------------------------------------------------------------------------
+
+
+# Each subcommand's options as (option strings or dest, default, choices,
+# required, type name), taken from the parser as it was before the shared
+# flags moved into argparse parents.
+ARGUMENT_SURFACE = {
+    "analyze": [
+        (("--debug",), False, None, False, None),
+        (("--max-citations",), None, None, False, "int"),
+        (("--max-papers",), None, None, False, "int"),
+        (("--output",), None, None, True, None),
+        (("--profiles",), None, None, False, None),
+        (("--reference-year",), None, None, False, "int"),
+        (("--self-citation-mode",), "focal", ["focal", "any-overlap"], False, None),
+        (("--visible",), False, None, False, None),
+        (("input",), None, None, True, None),
+    ],
+    "calibrate": [
+        (("--debug",), False, None, False, None),
+        (("--output",), None, None, True, None),
+        (("--self-citation-mode",), "focal", ["focal", "any-overlap"], False, None),
+        (("--visible",), False, None, False, None),
+        (("input",), None, None, True, None),
+    ],
+    "histogram": [
+        (("--bins",), 5, None, False, "int"),
+        (("--debug",), False, None, False, None),
+        (("--output",), None, None, True, None),
+        (("--visible",), False, None, False, None),
+        (("reports",), None, None, True, None),
+    ],
+    "synth": [
+        (("--debug",), False, None, False, None),
+        (("--output",), None, None, True, None),
+        (("--visible",), False, None, False, None),
+        (("spec",), None, None, True, None),
+    ],
+}
+
+
+def test_argument_surface_is_pinned():
+    parser = _build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: sorted(
+            (
+                tuple(a.option_strings) or (a.dest,),
+                a.default,
+                a.choices,
+                a.required,
+                getattr(a.type, "__name__", None),
+            )
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        )
+        for name, sub in commands.choices.items()
+    }
+    assert surface == ARGUMENT_SURFACE
 
 
 def test_unknown_command_exits_with_usage():

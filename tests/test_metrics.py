@@ -151,6 +151,8 @@ def test_scai_custom_params():
         {"beta": -0.01},
         {"beta": 1.01},
         {"gamma": 0.5},
+        {"alpha": float("inf")},
+        {"gamma": float("inf")},
     ],
 )
 def test_invalid_params_rejected(kwargs):
