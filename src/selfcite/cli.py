@@ -121,6 +121,8 @@ def _input_path(locator) -> Path:
         url = urlparse(locator)
         if url.netloc not in ("", "localhost"):
             raise ValueError(f"{locator}: a file:// URL must name no host or localhost")
+        if "?" in locator or "#" in locator:  # a file name would carry them %-encoded
+            raise ValueError(f"{locator}: a file:// URL must have no query or fragment")
         path = Path(url2pathname(url.path))
     else:
         path = Path(locator)

@@ -18,8 +18,12 @@ are supported:
   format stays forward-extensible.
 
 * A CSV bundle: a directory holding ``researchers.csv``, ``publications.csv``
-  and ``citations.csv`` with the same vocabulary. Multi-valued cells
-  (name variants, author lists) join their entries with ``|``.
+  and ``citations.csv`` with the same vocabulary. Each row becomes the JSON
+  record of its kind and follows the JSONL field rules. Multi-valued cells
+  (name variants, author lists) join their entries with ``|``; an empty
+  ``orcid`` cell and a blank integer cell mean null; integer cells are plain
+  decimals (an optional ``-`` and ASCII digits); a row with fewer cells than
+  its header is an error that names file and row.
 
 Loading is all-or-nothing: any structural problem raises and no corpus is
 returned, so downstream metrics never run on a silently truncated graph.
@@ -366,6 +370,12 @@ def _publication_from_json(record: dict, location: str, ids: dict[str, str]) -> 
     )
 
 
+def _citation_from_json(record: dict, location: str, ids: dict[str, str]) -> CitationEdge:
+    citing = _require_str(record, "citing", location)
+    cited = _require_str(record, "cited", location)
+    return CitationEdge(ids.setdefault(citing, citing), ids.setdefault(cited, cited))
+
+
 def parse_corpus(source, format: CorpusFormat = CorpusFormat.JSONL) -> Corpus:
     """Parse and validate a corpus file.
 
@@ -457,13 +467,10 @@ def _parse_jsonl(source) -> Corpus:
             if kind == "citation":
                 citing = record.get("citing")
                 cited = record.get("cited")
-                if not (
-                    isinstance(citing, str) and citing and isinstance(cited, str) and cited
-                ):
-                    location = f"{label} line {lineno}"
-                    _require_str(record, "citing", location)
-                    _require_str(record, "cited", location)  # one of the two raises
-                edges.append(CitationEdge(share(citing, citing), share(cited, cited)))
+                if isinstance(citing, str) and citing and isinstance(cited, str) and cited:
+                    edges.append(CitationEdge(share(citing, citing), share(cited, cited)))
+                else:
+                    _citation_from_json(record, f"{label} line {lineno}", ids)  # raises
             elif kind == "researcher":
                 researchers.append(
                     _researcher_from_json(record, f"{label} line {lineno}", ids)
@@ -483,90 +490,74 @@ def _parse_jsonl(source) -> Corpus:
     return Corpus.from_parts(researchers, publications, edges, provenance)
 
 
-def _split_multi(cell: str) -> tuple[str, ...]:
-    return tuple(part for part in (piece.strip() for piece in cell.split("|")) if part)
+def _csv_record(row: dict, location: str, lists: tuple, integers: tuple) -> dict:
+    """A researcher or publication row as the JSONL record of its kind.
+
+    An empty ``orcid`` cell and a blank integer cell are null, which the
+    JSONL rules then accept or reject as they do a JSON null.
+    """
+    for column in lists:
+        row[column] = [part for part in map(str.strip, row[column].split("|")) if part]
+    for column in integers:
+        cell = row.get(column, "").strip()  # publications.csv may lack citation_count
+        if cell and not (cell.isascii() and cell.removeprefix("-").isdecimal()):
+            raise MalformedRecord(f"{column} must be an integer, got {cell!r}", location)
+        row[column] = int(cell) if cell else None
+    if row.get("orcid") == "":
+        row["orcid"] = None
+    return row
 
 
-def _csv_rows(path: Path, required: list[str]) -> Iterable[tuple[dict, str]]:
+def _csv_rows(path: Path, required: list[str]) -> Iterator[tuple[dict, str]]:
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            header = reader.fieldnames or []
+            header = next(reader, [])
             missing = [col for col in required if col not in header]
             if missing:
                 raise MalformedRecord(
                     f"missing columns {missing}", f"{path.name} header"
                 )
-            for rownum, row in enumerate(reader, start=2):
-                yield row, f"{path.name} row {rownum}"
+            name, width = path.name, len(header)
+            for cells in reader:
+                location = f"{name} row {reader.line_num}"
+                if len(cells) < width:
+                    if not cells:  # a blank line
+                        continue
+                    raise MalformedRecord(
+                        f"{len(cells)} cells where the header has {width}", location
+                    )
+                yield dict(zip(header, cells)), location
         except UnicodeDecodeError as exc:
             # text mode decodes in chunks, so only the file is known
             raise MalformedRecord(f"invalid UTF-8 ({exc})", path.name) from None
 
 
-def _int_cell(cell: str, what: str, location: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise MalformedRecord(f"{what} must be an integer, got {cell!r}", location) from None
-
-
 def _parse_csv_bundle(source) -> Corpus:
+    """Each row becomes a JSONL record and goes through the JSONL rules."""
     base = Path(source)
     if not base.is_dir():
         raise MalformedRecord(f"CSV bundle {base} is not a directory")
-    researchers: list[Researcher] = []
-    publications: list[Publication] = []
-    edges: list[CitationEdge] = []
     ids: dict[str, str] = {}  # equal ids share one str, as in _parse_jsonl
-    share = ids.setdefault
-
-    for row, location in _csv_rows(
-        base / "researchers.csv", ["id", "names", "orcid", "gender", "discipline", "first_pub_year"]
-    ):
-        names = _split_multi(row["names"])
-        if not names:
-            raise MalformedRecord("names cell is empty", location)
-        if not row["id"]:
-            raise MalformedRecord("empty id", location)
-        fp_cell = row["first_pub_year"].strip()
-        researchers.append(
-            Researcher(
-                researcher_id=share(row["id"], row["id"]),
-                name_variants=names,
-                orcid=row["orcid"] or None,
-                gender=_parse_gender(row["gender"], location),
-                first_pub_year=_int_cell(fp_cell, "first_pub_year", location) if fp_cell else None,
-                discipline=_parse_discipline(row["discipline"], location),
-            )
+    researchers = [
+        _researcher_from_json(_csv_record(row, loc, ("names",), ("first_pub_year",)), loc, ids)
+        for row, loc in _csv_rows(
+            base / "researchers.csv",
+            ["id", "names", "orcid", "gender", "discipline", "first_pub_year"],
         )
-
-    for row, location in _csv_rows(
-        base / "publications.csv", ["id", "title", "year", "authors", "discipline"]
-    ):
-        if not row["id"] or not row["title"]:
-            raise MalformedRecord("empty id or title", location)
-        count_cell = (row.get("citation_count") or "").strip()
-        authors = _split_multi(row["authors"])
-        publications.append(
-            Publication(
-                pub_id=share(row["id"], row["id"]),
-                title=row["title"],
-                year=_int_cell(row["year"], "year", location),
-                author_ids=tuple(map(share, authors, authors)),
-                discipline=_parse_discipline(row["discipline"], location),
-                source_citation_count=_int_cell(count_cell, "citation_count", location)
-                if count_cell
-                else None,
-            )
+    ]
+    publications = [
+        _publication_from_json(
+            _csv_record(row, loc, ("authors",), ("year", "citation_count")), loc, ids
         )
-
-    for row, location in _csv_rows(base / "citations.csv", ["citing", "cited"]):
-        citing, cited = row["citing"], row["cited"]
-        if not citing or not cited:
-            raise MalformedRecord("empty citing or cited id", location)
-        edges.append(CitationEdge(share(citing, citing), share(cited, cited)))
-
+        for row, loc in _csv_rows(
+            base / "publications.csv", ["id", "title", "year", "authors", "discipline"]
+        )
+    ]
+    edges = [
+        _citation_from_json(row, loc, ids)
+        for row, loc in _csv_rows(base / "citations.csv", ["citing", "cited"])
+    ]
     provenance = Provenance(source=str(base), format_version=f"csv_bundle/{FORMAT_VERSION}")
     return Corpus.from_parts(researchers, publications, edges, provenance)
 

@@ -19,7 +19,9 @@ from selfcite.cli import (
 from selfcite.calibration import Basis, load_profiles
 from selfcite.corpus import (
     CitationEdge,
+    CorpusFormat,
     Discipline,
+    MalformedRecord,
     parse_corpus,
     write_corpus,
 )
@@ -92,18 +94,6 @@ def test_analyze_debug_keeps_exit_code(tmp_path, capsys):
     assert "Traceback" in err
 
 
-def test_analyze_bad_output_parent_is_usage_error(tmp_path, two_papers_path, capsys):
-    code = main(
-        [
-            "analyze",
-            str(two_papers_path),
-            "--output",
-            str(tmp_path / "missing" / "deeper" / "out"),
-        ]
-    )
-    assert code == EXIT_USAGE
-
-
 @pytest.mark.parametrize(
     "flag, value",
     [("--max-papers", "0"), ("--max-citations", "-3")],
@@ -161,11 +151,14 @@ def test_analyze_rejects_infinite_profile_alpha(tmp_path, two_papers_path, capsy
         (lambda path: path.resolve().as_uri(), EXIT_OK),
         (lambda path: "file://localhost" + path.resolve().as_posix(), EXIT_OK),
         (lambda path: "file://t/two_papers_one_selfcite.jsonl", EXIT_USAGE),
+        (lambda path: path.resolve().as_uri() + "?x=1", EXIT_USAGE),
+        (lambda path: path.resolve().as_uri() + "#frag", EXIT_USAGE),
     ],
-    ids=["no-host", "localhost", "other-host"],
+    ids=["no-host", "localhost", "other-host", "query", "fragment"],
 )
 def test_analyze_file_url_host(tmp_path, two_papers_path, capsys, make_url, code):
     url = make_url(two_papers_path)
+    assert url.startswith("file://")
     out = tmp_path / "out"
     assert main(["analyze", url, "--output", str(out)]) == code
     if code == EXIT_OK:
@@ -243,14 +236,6 @@ def test_analyze_deterministic_outputs(tmp_path, researcher_mid_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_analyze_file_url(tmp_path, two_papers_path):
-    out = tmp_path / "out"
-    url = two_papers_path.resolve().as_uri()
-    assert url.startswith("file://")
-    assert main(["analyze", url, "--output", str(out)]) == EXIT_OK
-    assert (out / "reports.json").exists()
-
-
 def test_analyze_csv_bundle_directory(tmp_path):
     out = tmp_path / "out"
     code = main(["analyze", str(DATA / "csv_bundle"), "--output", str(out)])
@@ -258,6 +243,37 @@ def test_analyze_csv_bundle_directory(tmp_path):
     reports = {r["researcher_id"]: r for r in read_json(out / "reports.json")}
     assert reports["M"]["h_index"] == 3
     assert reports["M"]["self_citations"] == 4
+
+
+@pytest.mark.parametrize(
+    "short_file, short_row, line",
+    [
+        ("researchers.csv", "R1,Ann Lee", 2),
+        ("publications.csv", "P1,T,2001", 2),
+        ("publications.csv", "\nP1,T,2001", 3),
+    ],
+    ids=["researchers", "publications", "after-blank-line"],
+)
+def test_short_csv_row_is_input_error(tmp_path, capsys, short_file, short_row, line):
+    files = {
+        "researchers.csv": [
+            "id,names,orcid,gender,discipline,first_pub_year", "R1,Ann Lee,,,Other,"
+        ],
+        "publications.csv": ["id,title,year,authors,discipline", "P1,T,2001,R1,Other"],
+        "citations.csv": ["citing,cited"],
+    }
+    files[short_file][1] = short_row
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for name, lines in files.items():
+        (bundle / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord) as err:
+        parse_corpus(bundle, CorpusFormat.CSV_BUNDLE)
+    assert err.value.location == f"{short_file} row {line}"
+    out = tmp_path / "out"
+    assert main(["analyze", str(bundle), "--output", str(out)]) == EXIT_INPUT
+    assert last_stderr_record(capsys)["error"] == "MalformedRecord"
+    assert not out.exists()
 
 
 def test_analyze_any_overlap_mode(tmp_path):
@@ -720,7 +736,7 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, command, make_input):
     ids=["analyze", "synth", "histogram", "calibrate"],
 )
 def test_missing_output_parent_is_usage_error(tmp_path, capsys, command, source):
-    output = tmp_path / "missing" / "out"
+    output = tmp_path / "missing" / "deeper" / "out"
     code = main([command, str(source), "--output", str(output)])
     assert code == EXIT_USAGE
     assert last_stderr_record(capsys)["error"] == "ValueError"

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -56,12 +57,112 @@ def test_parse_researcher_mid_fixture(researcher_mid_path):
     )
 
 
-def test_csv_bundle_matches_jsonl_fixture(researcher_mid_path):
-    from_jsonl = parse_corpus(researcher_mid_path)
-    from_csv = parse_corpus(DATA / "csv_bundle", CorpusFormat.CSV_BUNDLE)
-    assert from_csv.researchers == from_jsonl.researchers
-    assert from_csv.publications == from_jsonl.publications
-    assert from_csv.edges == from_jsonl.edges
+CSV_COLUMNS = {
+    "researcher": (
+        "researchers.csv", ["id", "names", "orcid", "gender", "discipline", "first_pub_year"]
+    ),
+    "publication": (
+        "publications.csv", ["id", "title", "year", "authors", "discipline", "citation_count"]
+    ),
+    "citation": ("citations.csv", ["citing", "cited"]),
+}
+
+
+def write_csv_bundle(records, base):
+    """Write JSONL records as a CSV bundle: lists joined by "|", null blank."""
+    def cell(value):
+        return "|".join(value) if isinstance(value, list) else "" if value is None else value
+
+    base.mkdir()
+    for kind, (name, columns) in CSV_COLUMNS.items():
+        with (base / name).open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(
+                [cell(record.get(column)) for column in columns]
+                for record in records
+                if record["kind"] == kind
+            )
+
+
+def varied_corpus():
+    """Teams, a shared ORCID, blank optional fields and names with commas."""
+    shared = "0000-0001-0000-0001"
+    researchers = [
+        simple_researcher("A", name_variants=("Lee, Ann", "Ann Lee"), orcid=shared,
+                          gender=Gender.FEMALE, first_pub_year=2001),
+        simple_researcher("A2", name_variants=("A. Lee",), orcid=shared),
+        simple_researcher("B", name_variants=("Brown, Bo",), discipline=Discipline.LIFE_SCIENCES),
+        simple_researcher("C", orcid="0000-0002-0000-0002", gender=Gender.MALE,
+                          first_pub_year=1999, discipline=Discipline.HUMANITIES),
+    ]
+    publications = [
+        simple_pub("P1", 2000, ["A", "B"]),
+        simple_pub("P2", 2003, ["A2", "C", "B"], source_citation_count=7),
+        simple_pub("P3", 2005, ["C"], source_citation_count=0, discipline=Discipline.OTHER),
+        simple_pub("P4", 2010, ["B", "A"], title='Risks, rewards and "quotes"'),
+    ]
+    pairs = [("P2", "P1"), ("P3", "P1"), ("P4", "P2"), ("P4", "P3")]
+    return make_corpus(researchers, publications, [CitationEdge(*p) for p in pairs])
+
+
+def test_csv_bundle_matches_jsonl_fixture(researcher_mid_path, tmp_path):
+    written = tmp_path / "varied.jsonl"
+    write_corpus(varied_corpus(), written)
+    records = [json.loads(line) for line in written.read_text(encoding="utf-8").splitlines()]
+    write_csv_bundle(records, tmp_path / "varied")
+    pairs = [(researcher_mid_path, DATA / "csv_bundle"), (written, tmp_path / "varied")]
+    for jsonl, bundle in pairs:
+        from_jsonl = parse_corpus(jsonl)
+        from_csv = parse_corpus(bundle, CorpusFormat.CSV_BUNDLE)
+        assert from_csv.researchers == from_jsonl.researchers
+        assert from_csv.publications == from_jsonl.publications
+        assert from_csv.edges == from_jsonl.edges
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("researcher", "id", ""),
+        ("researcher", "names", []),
+        ("publication", "id", ""),
+        ("publication", "title", ""),
+        ("publication", "authors", []),
+        ("publication", "discipline", "Alchemy"),
+        ("publication", "year", "MMI"),
+        ("publication", "year", "1_990"),
+        ("publication", "year", "+2001"),
+        ("publication", "year", "\uff12\uff10\uff10\uff11"),
+        ("citation", "cited", ""),
+    ],
+    ids=[
+        "researcher-empty-id", "no-names", "publication-empty-id", "empty-title",
+        "no-authors", "unknown-discipline", "year-roman", "year-underscore",
+        "year-plus", "year-fullwidth", "empty-cited",
+    ],
+)
+def test_bad_field_rejected_in_both_formats(tmp_path, kind, field, value):
+    records = [
+        {"kind": "researcher", "id": "R", "names": ["N"], "orcid": None, "gender": None,
+         "discipline": "Other", "first_pub_year": None},
+        {"kind": "publication", "id": "P", "title": "T", "year": 2000, "authors": ["R"],
+         "discipline": "Other"},
+        {"kind": "publication", "id": "Q", "title": "U", "year": 2001, "authors": ["R"],
+         "discipline": "Other"},
+        {"kind": "citation", "citing": "Q", "cited": "P"},
+    ]
+    bad = next(r for r in records if r["kind"] == kind)
+    bad[field] = value
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    write_csv_bundle(records, tmp_path / "bundle")
+    with pytest.raises(MalformedRecord) as from_jsonl:
+        parse_corpus(jsonl)
+    with pytest.raises(MalformedRecord) as from_csv:
+        parse_corpus(tmp_path / "bundle", CorpusFormat.CSV_BUNDLE)
+    assert from_jsonl.value.location == f"{jsonl} line {records.index(bad) + 1}"
+    assert from_csv.value.location == f"{CSV_COLUMNS[kind][0]} row 2"
+    assert from_csv.value.reason == from_jsonl.value.reason
 
 
 def test_csv_bundle_missing_column(tmp_path):
@@ -262,11 +363,19 @@ def test_author_listed_twice_rejected_from_files(tmp_path):
         parse_corpus(bundle, CorpusFormat.CSV_BUNDLE)
 
 
-def test_negative_citation_count_rejected():
+def test_negative_citation_count_rejected(tmp_path):
     r = simple_researcher("R")
     pub = simple_pub("P", 2000, ["R"], source_citation_count=-1)
     with pytest.raises(MalformedRecord):
         make_corpus([r], [pub], [])
+    records = [
+        {"kind": "researcher", "id": "R", "names": ["N"], "discipline": "Other"},
+        {"kind": "publication", "id": "P", "title": "T", "year": 2000, "authors": ["R"],
+         "discipline": "Other", "citation_count": -1},
+    ]
+    write_csv_bundle(records, tmp_path / "bundle")
+    with pytest.raises(MalformedRecord, match="'P' has negative citation_count"):
+        parse_corpus(tmp_path / "bundle", CorpusFormat.CSV_BUNDLE)
 
 
 def test_citation_count_roundtrips():
