@@ -44,7 +44,7 @@ from .metrics import (
     MetricsReport,
     compute_report,
     report_from_json,
-    report_to_json,
+    reports_to_json_text,
 )
 
 EXIT_OK = 0
@@ -219,12 +219,7 @@ def run_analyze(args) -> int:
     ]
     _progress(args.visible, f"computed {len(reports)} researcher reports")
 
-    artifacts = {
-        "reports.json": json.dumps(
-            [report_to_json(r) for r in reports], indent=2, ensure_ascii=False
-        )
-        + "\n"
-    }
+    artifacts = {"reports.json": reports_to_json_text(reports)}
     for filename, dimension in COHORT_FILES.items():
         artifacts[filename] = summaries_to_csv(
             cohort_aggregate(reports, corpus, dimension, args.reference_year)

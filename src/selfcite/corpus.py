@@ -20,10 +20,13 @@ are supported:
 * A CSV bundle: a directory holding ``researchers.csv``, ``publications.csv``
   and ``citations.csv`` with the same vocabulary. Each row becomes the JSON
   record of its kind and follows the JSONL field rules. Multi-valued cells
-  (name variants, author lists) join their entries with ``|``; an empty
-  ``orcid`` cell and a blank integer cell mean null; integer cells are plain
-  decimals (an optional ``-`` and ASCII digits); a row with fewer cells than
-  its header is an error that names file and row.
+  (name variants, author lists) join their entries with ``|``; a blank
+  integer cell means null; integer cells are plain decimals (an optional
+  ``-`` and ASCII digits); a row with fewer cells than its header is an
+  error that names file and row.
+
+In both formats an ``orcid`` loses surrounding whitespace and an
+``http(s)://orcid.org/`` prefix, and a blank one means null.
 
 Loading is all-or-nothing: any structural problem raises and no corpus is
 returned, so downstream metrics never run on a silently truncated graph.
@@ -34,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -143,6 +147,16 @@ class Researcher:
     gender: Gender = Gender.UNREPORTED
     first_pub_year: Optional[int] = None
     discipline: Discipline = Discipline.OTHER
+
+
+def person_key(researcher: Researcher) -> tuple[str, str]:
+    """Equal keys mean one person: ``identity.same_person`` on two corpus records.
+
+    Namespaced, so an ORCID equal to another record's id merges no one.
+    """
+    if researcher.orcid:
+        return ("orcid", researcher.orcid)
+    return ("id", researcher.researcher_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,6 +300,23 @@ class Corpus:
             index.setdefault(edge.cited_id, []).append(edge)
         return {pid: tuple(es) for pid, es in index.items()}
 
+    @cached_property
+    def person_numbers(self) -> dict[str, int]:
+        """Researcher id -> person number, shared by records with one
+        :func:`person_key` and assigned in sorted-id order, so it depends
+        neither on input order nor on the hash seed."""
+        numbers: dict[tuple[str, str], int] = {}
+        return {
+            rid: numbers.setdefault(person_key(self.researchers[rid]), len(numbers))
+            for rid in sorted(self.researchers)
+        }
+
+    @cached_property
+    def publication_persons(self) -> dict[str, tuple[int, ...]]:
+        """Publication id -> its authors' person numbers, in author order."""
+        number = self.person_numbers.__getitem__
+        return {pid: tuple(map(number, p.author_ids)) for pid, p in self.publications.items()}
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -325,6 +356,11 @@ def _require_int(value: object, what: str, location: str) -> int:
     return value
 
 
+# ORCIDs are compared as bare iDs. The checksum is not verified: test
+# corpora use ORCIDs that are not valid iDs.
+_ORCID_URL = re.compile(r"^https?://orcid\.org/")
+
+
 def _researcher_from_json(record: dict, location: str, ids: dict[str, str]) -> Researcher:
     names = record.get("names")
     if not isinstance(names, list) or not names or not all(
@@ -332,8 +368,10 @@ def _researcher_from_json(record: dict, location: str, ids: dict[str, str]) -> R
     ):
         raise MalformedRecord("\"names\" must be a non-empty list of strings", location)
     orcid = record.get("orcid")
-    if orcid is not None and not isinstance(orcid, str):
-        raise MalformedRecord("\"orcid\" must be a string or null", location)
+    if orcid is not None:
+        if not isinstance(orcid, str):
+            raise MalformedRecord("\"orcid\" must be a string or null", location)
+        orcid = _ORCID_URL.sub("", orcid.strip()) or None
     first_pub_year = record.get("first_pub_year")
     if first_pub_year is not None:
         first_pub_year = _require_int(first_pub_year, "first_pub_year", location)
@@ -493,8 +531,8 @@ def _parse_jsonl(source) -> Corpus:
 def _csv_record(row: dict, location: str, lists: tuple, integers: tuple) -> dict:
     """A researcher or publication row as the JSONL record of its kind.
 
-    An empty ``orcid`` cell and a blank integer cell are null, which the
-    JSONL rules then accept or reject as they do a JSON null.
+    A blank integer cell is null, which the JSONL rules then accept or
+    reject as they do a JSON null.
     """
     for column in lists:
         row[column] = [part for part in map(str.strip, row[column].split("|")) if part]
@@ -503,8 +541,6 @@ def _csv_record(row: dict, location: str, lists: tuple, integers: tuple) -> dict
         if cell and not (cell.isascii() and cell.removeprefix("-").isdecimal()):
             raise MalformedRecord(f"{column} must be an integer, got {cell!r}", location)
         row[column] = int(cell) if cell else None
-    if row.get("orcid") == "":
-        row["orcid"] = None
     return row
 
 

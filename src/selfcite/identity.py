@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .corpus import Corpus, CitationEdge, Researcher
+from .corpus import CitationEdge, Corpus, Researcher, person_key
 
 
 class MatchBasis(Enum):
@@ -189,22 +189,6 @@ def same_person(
     return False, None
 
 
-def person_key(researcher: Researcher) -> tuple[str, str]:
-    """Equal keys mean one person: :func:`same_person` on two corpus records.
-
-    Namespaced, so an ORCID equal to another record's id merges no one.
-    """
-    if researcher.orcid:
-        return ("orcid", researcher.orcid)
-    return ("id", researcher.researcher_id)
-
-
-def author_keys(corpus: Corpus, pub_id: str) -> set[tuple[str, str]]:
-    """The person keys of a publication's authors."""
-    authors = corpus.publications[pub_id].author_ids
-    return {person_key(corpus.researchers[aid]) for aid in authors}
-
-
 # ---------------------------------------------------------------------------
 # Self-citation classification
 # ---------------------------------------------------------------------------
@@ -329,19 +313,21 @@ def count_citations(
     citing publication's year. Raises ``UnknownResearcher`` for an id
     not in the corpus. Deterministic: iteration follows corpus order.
     """
-    focal_keys = {person_key(corpus.researcher(focal))}
+    corpus.researcher(focal)  # raises UnknownResearcher
+    focal_persons = {corpus.person_numbers[focal]}
+    persons = corpus.publication_persons
     any_overlap = mode is SelfCitationMode.ANY_OVERLAP
     per_publication: dict[str, Tally] = {}
     year_totals: dict[int, list[int]] = {}
     for pub_id in corpus.publications_by_author.get(focal, ()):
-        cited_keys = author_keys(corpus, pub_id) if any_overlap else focal_keys
+        cited_persons = set(persons[pub_id]) if any_overlap else focal_persons
         edges = corpus.incoming_edges.get(pub_id, ())
         self_count = 0
         for edge in edges:
             citing_year = corpus.publications[edge.citing_id].year
             bucket = year_totals.setdefault(citing_year, [0, 0])
             bucket[0] += 1
-            if not cited_keys.isdisjoint(author_keys(corpus, edge.citing_id)):
+            if not cited_persons.isdisjoint(persons[edge.citing_id]):
                 self_count += 1
                 bucket[1] += 1
         per_publication[pub_id] = Tally(total=len(edges), self=self_count)

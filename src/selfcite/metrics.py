@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from json.encoder import encode_basestring
+from typing import Optional, Sequence
 
 from .corpus import Corpus
 from .identity import CitationCounts, SelfCitationMode, count_citations
@@ -209,6 +210,45 @@ def report_to_json(report: MetricsReport) -> dict:
             str(year): report.yearly_scr[year] for year in sorted(report.yearly_scr)
         },
     }
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(value: Optional[float]) -> str:
+    """A float or None as ``json`` writes it."""
+    if value is None:
+        return "null"
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _report_text(r: MetricsReport) -> str:
+    years = sorted(r.yearly_scr)
+    yearly = ",\n      ".join(f'"{y}": {_number(r.yearly_scr[y])}' for y in years)
+    yearly = f"{{\n      {yearly}\n    }}" if years else "{}"
+    return (
+        f'  {{\n    "researcher_id": {encode_basestring(r.researcher_id)},\n'
+        f'    "h_index": {r.h_index},\n'
+        f'    "h_index_external": {r.h_index_external},\n'
+        f'    "i10_index": {r.i10_index},\n'
+        f'    "total_citations": {r.total_citations},\n'
+        f'    "self_citations": {r.self_citations},\n'
+        f'    "scr": {_number(r.scr)},\n'
+        f'    "scai": {_number(r.scai)},\n'
+        f'    "s_index": {r.s_index},\n'
+        f'    "inflation": {_number(r.inflation)},\n'
+        f'    "yearly_scr": {yearly}\n  }}'
+    )
+
+
+def reports_to_json_text(reports: Sequence[MetricsReport]) -> str:
+    """``json.dumps([report_to_json(r) ...], indent=2, ensure_ascii=False)``
+    plus a newline, byte for byte, built as one string per report: with an
+    indent, ``json`` skips its C encoder and makes a string per token."""
+    if not reports:
+        return "[]\n"
+    return "[\n" + ",\n".join(map(_report_text, reports)) + "\n]\n"
 
 
 def report_from_json(record: dict) -> MetricsReport:

@@ -42,7 +42,6 @@ from .corpus import (
     Researcher,
     max_valid_year,
 )
-from .identity import author_keys
 
 # Beta concentration for individual self-citation ratios: alpha+beta of the
 # moment-matched distribution. Higher = tighter spread around the target.
@@ -450,8 +449,9 @@ def apply_compounding(
             if rid not in corpus.researchers and pid not in corpus.publications:
                 return rid, pid
 
+    persons = corpus.publication_persons
     for edge in corpus.edges:
-        if author_keys(corpus, edge.citing_id).isdisjoint(author_keys(corpus, edge.cited_id)):
+        if set(persons[edge.citing_id]).isdisjoint(persons[edge.cited_id]):
             continue
         base_year = corpus.publications[edge.citing_id].year
         for _ in range(int(rng.poisson(rate))):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from selfcite.cli import (
+    COHORT_FILES,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_USAGE,
@@ -865,6 +866,23 @@ def test_commands_import_only_what_they_run(command, tmp_path):
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
     )
     assert json.loads(result.stdout) == [EXIT_OK, []]
+
+
+@pytest.mark.parametrize("mode", ["focal", "any-overlap"])
+def test_analyze_bytes_ignore_the_hash_seed(mode, tmp_path):
+    """Person numbers and every other ordering follow sorted ids, never
+    set or dict iteration order, so the hash seed cannot move a byte."""
+    outputs = []
+    for seed in ("0", "12345"):
+        out = tmp_path / f"seed{seed}"
+        subprocess.run(
+            [sys.executable, "-m", "selfcite", "analyze", str(DATA / "e2e_corpus.jsonl"),
+             "--output", str(out), "--self-citation-mode", mode, "--reference-year", "2024"],
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            check=True,
+        )
+        outputs.append({name: (out / name).read_bytes() for name in ("reports.json", *COHORT_FILES)})
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,13 @@ from selfcite.corpus import (
     derive_first_pub_year,
     max_valid_year,
     parse_corpus,
+    person_key,
     serialize_corpus,
     validate_corpus,
     write_corpus,
 )
+
+from selfcite.identity import SelfCitationMode, count_citations
 
 from conftest import DATA, make_corpus, simple_pub, simple_researcher, small_corpora
 
@@ -402,6 +405,66 @@ def test_indexes(researcher_mid_path):
     incoming = corpus.incoming_edges["M4"]
     assert [e.citing_id for e in incoming] == ["X2P1"]
     assert corpus.publications_by_author["X2"] == ("X2P1",)
+
+
+def test_person_numbers_follow_sorted_ids():
+    # listed out of order; B and D share an ORCID, C's ORCID is spelled like A's id
+    researchers = [
+        simple_researcher("D", orcid="0000-9"),
+        simple_researcher("C", orcid="A"),
+        simple_researcher("B", orcid="0000-9"),
+        simple_researcher("A"),
+    ]
+    pubs = [simple_pub("P1", 2010, ["D", "A"]), simple_pub("P2", 2011, ["C", "B"])]
+    corpus = make_corpus(researchers, pubs, [])
+    assert list(corpus.person_numbers.items()) == [("A", 0), ("B", 1), ("C", 2), ("D", 1)]
+    assert corpus.publication_persons == {"P1": (1, 0), "P2": (2, 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=small_corpora(orcids=True))
+def test_person_numbers_match_person_key(corpus):
+    numbers = corpus.person_numbers
+    assert list(numbers) == sorted(corpus.researchers)
+    first_seen = list(dict.fromkeys(numbers.values()))
+    assert first_seen == list(range(len(first_seen)))
+    for a in corpus.researchers.values():
+        for b in corpus.researchers.values():
+            same = numbers[a.researcher_id] == numbers[b.researcher_id]
+            assert same == (person_key(a) == person_key(b))
+    for pid, pub in corpus.publications.items():
+        assert corpus.publication_persons[pid] == tuple(map(numbers.get, pub.author_ids))
+
+
+def test_orcid_canonical_in_both_formats(tmp_path):
+    """The URL and bare forms of one ORCID are one person; blank ORCIDs
+    belong to no one, so S1 citing S2 is an external citation."""
+    def researcher(rid, orcid):
+        return {"kind": "researcher", "id": rid, "names": [f"N {rid}"], "orcid": orcid,
+                "gender": None, "discipline": "Other", "first_pub_year": None}
+
+    records = [
+        researcher("U", "https://orcid.org/0000-0002-1825-0097"),
+        researcher("H", "http://orcid.org/0000-0002-1825-0097 "),
+        researcher("B", " 0000-0002-1825-0097"),
+        researcher("S1", " "),
+        researcher("S2", " "),
+        {"kind": "publication", "id": "P", "title": "T", "year": 2000, "authors": ["S2"],
+         "discipline": "Other"},
+        {"kind": "publication", "id": "Q", "title": "U", "year": 2001, "authors": ["S1"],
+         "discipline": "Other"},
+        {"kind": "citation", "citing": "Q", "cited": "P"},
+    ]
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    write_csv_bundle(records, tmp_path / "bundle")
+    for corpus in (parse_corpus(jsonl), parse_corpus(tmp_path / "bundle", CorpusFormat.CSV_BUNDLE)):
+        keys = {rid: person_key(r) for rid, r in corpus.researchers.items()}
+        assert keys["U"] == keys["H"] == keys["B"] == ("orcid", "0000-0002-1825-0097")
+        assert corpus.researchers["S1"].orcid is None
+        assert keys["S1"] != keys["S2"]
+        for mode in SelfCitationMode:
+            assert count_citations(corpus, "S2", mode).self_total == 0
 
 
 def test_validate_warnings():

@@ -1,7 +1,9 @@
+import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfcite.corpus import parse_corpus
@@ -20,6 +22,7 @@ from selfcite.metrics import (
     compute_scr,
     report_from_json,
     report_to_json,
+    reports_to_json_text,
 )
 
 from conftest import DATA
@@ -276,3 +279,48 @@ def test_report_custom_params_change_scai_only(researcher_mid_path):
         base.scr,
         base.s_index,
     )
+
+
+# ---------------------------------------------------------------------------
+# reports.json writer, against json.dumps
+# ---------------------------------------------------------------------------
+
+report_ids = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600", "\ud800", "\udfff"]),
+        st.characters(),
+    ),
+)
+report_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1 / 3, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+reports = st.builds(
+    MetricsReport,
+    researcher_id=report_ids,
+    h_index=st.integers(min_value=0),
+    h_index_external=st.integers(min_value=0),
+    i10_index=st.integers(min_value=0),
+    total_citations=st.integers(min_value=0),
+    self_citations=st.integers(min_value=0),
+    scr=report_floats,
+    scai=report_floats,
+    s_index=st.integers(min_value=0),
+    inflation=st.one_of(st.none(), report_floats),
+    # insertion order is the draw order, so years arrive unsorted
+    yearly_scr=st.lists(st.tuples(st.integers(1500, 2100), report_floats)).map(dict),
+)
+EDGE_CASE_REPORT = MetricsReport(
+    researcher_id='q"b\\c\x01\u2028\U0001f600\ud800', h_index=3, h_index_external=2,
+    i10_index=0, total_citations=9, self_citations=4, scr=1 / 3, scai=-0.0,
+    s_index=1, inflation=None, yearly_scr={2012: math.nan, 2001: math.inf, 2005: 5e-324},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports=st.lists(reports, max_size=4))
+@example(reports=[])
+@example(reports=[EDGE_CASE_REPORT, dataclasses.replace(EDGE_CASE_REPORT, yearly_scr={})])
+def test_reports_text_matches_json_dumps(reports):
+    expected = json.dumps([report_to_json(r) for r in reports], indent=2, ensure_ascii=False)
+    assert reports_to_json_text(reports) == expected + "\n"
