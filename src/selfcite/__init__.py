@@ -6,7 +6,7 @@ tables, field calibration, synthetic corpus generation, and a CLI on
 top. See the individual modules:
 
 - ``corpus``: data model, JSONL / CSV bundle ingestion, validation
-- ``identity``: author disambiguation and self-citation classification
+- ``identity``: self-citation counting
 - ``metrics``: h-index, i10, SCR, SCAI, s-index, inflation
 - ``calibration``: per-discipline parameter profiles
 - ``cohort``: group summaries, gap statistics, funding scenario

@@ -25,8 +25,9 @@ are supported:
   ``-`` and ASCII digits); a row with fewer cells than its header is an
   error that names file and row.
 
-In both formats an ``orcid`` loses surrounding whitespace and an
-``http(s)://orcid.org/`` prefix, and a blank one means null.
+In both formats an ``orcid`` loses surrounding whitespace and
+``http(s)://orcid.org/`` prefixes, and a blank one means null;
+``Corpus.from_parts`` accepts no other form.
 
 Loading is all-or-nothing: any structural problem raises and no corpus is
 returned, so downstream metrics never run on a silently truncated graph.
@@ -150,7 +151,8 @@ class Researcher:
 
 
 def person_key(researcher: Researcher) -> tuple[str, str]:
-    """Equal keys mean one person: ``identity.same_person`` on two corpus records.
+    """Equal keys mean one person: two records are one person when they
+    share a researcher id, or when both carry the same ORCID.
 
     Namespaced, so an ORCID equal to another record's id merges no one.
     """
@@ -210,6 +212,11 @@ class Corpus:
                 raise MalformedRecord("researcher with empty id")
             if r.researcher_id in researcher_map:
                 raise DuplicateId(r.researcher_id)
+            if r.orcid is not None and _canonical_orcid(r.orcid) != r.orcid:
+                raise MalformedRecord(
+                    f"researcher {r.researcher_id!r} orcid {r.orcid!r} is not a bare iD "
+                    "(blank, padded or in URL form)"
+                )
             if not r.name_variants or any(not n.strip() for n in r.name_variants):
                 raise MalformedRecord(
                     f"researcher {r.researcher_id!r} needs at least one non-blank name"
@@ -358,7 +365,14 @@ def _require_int(value: object, what: str, location: str) -> int:
 
 # ORCIDs are compared as bare iDs. The checksum is not verified: test
 # corpora use ORCIDs that are not valid iDs.
-_ORCID_URL = re.compile(r"^https?://orcid\.org/")
+_ORCID_PREFIX = re.compile(r"\s*(?:https?://orcid\.org/\s*)*")
+
+
+def _canonical_orcid(orcid: str) -> Optional[str]:
+    """The bare iD: surrounding whitespace and ``http(s)://orcid.org/``
+    prefixes dropped, None when nothing is left. Parsers store this form
+    and ``Corpus.from_parts`` accepts no other."""
+    return orcid[_ORCID_PREFIX.match(orcid).end():].rstrip() or None
 
 
 def _researcher_from_json(record: dict, location: str, ids: dict[str, str]) -> Researcher:
@@ -371,7 +385,7 @@ def _researcher_from_json(record: dict, location: str, ids: dict[str, str]) -> R
     if orcid is not None:
         if not isinstance(orcid, str):
             raise MalformedRecord("\"orcid\" must be a string or null", location)
-        orcid = _ORCID_URL.sub("", orcid.strip()) or None
+        orcid = _canonical_orcid(orcid)
     first_pub_year = record.get("first_pub_year")
     if first_pub_year is not None:
         first_pub_year = _require_int(first_pub_year, "first_pub_year", location)
@@ -430,8 +444,8 @@ def parse_corpus(source, format: CorpusFormat = CorpusFormat.JSONL) -> Corpus:
     raise ValueError(f"unsupported corpus format: {format!r}")
 
 
-def _open_lines(source) -> tuple[io.IOBase, str, bool]:
-    """Return (stream of byte or text lines, provenance label, needs_close).
+def _open_lines(source) -> tuple[io.BytesIO, str, bool]:
+    """Return (stream of byte lines, provenance label, needs_close).
 
     Bytes stay undecoded so that a decode error can name its line.
     """
@@ -442,9 +456,10 @@ def _open_lines(source) -> tuple[io.IOBase, str, bool]:
         return io.BytesIO(source), "<bytes>", False
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            return io.BytesIO(data), "<stream>", False
-        return io.StringIO(data), "<stream>", False
+        if isinstance(data, str):
+            # back to bytes, so that a lone surrogate fails to decode on its line
+            data = data.encode("utf-8", "surrogatepass")
+        return io.BytesIO(data), "<stream>", False
     raise TypeError(f"cannot read corpus from {type(source).__name__}")
 
 
@@ -481,14 +496,12 @@ def _parse_jsonl(source) -> Corpus:
     decode = _decode_line
     try:
         for lineno, line in enumerate(stream, start=1):
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise MalformedRecord(
-                        f"invalid UTF-8 ({exc})", f"{label} line {lineno}"
-                    ) from None
-            line = line.strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedRecord(
+                    f"invalid UTF-8 ({exc})", f"{label} line {lineno}"
+                ) from None
             if not line:
                 continue
             try:
@@ -497,6 +510,14 @@ def _parse_jsonl(source) -> Corpus:
                 raise MalformedRecord(
                     f"invalid JSON ({exc.msg})", f"{label} line {lineno}"
                 ) from None
+            if "\\" in line:  # only a \u escape can decode to a lone surrogate
+                try:
+                    _encode_compact(record).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise MalformedRecord(
+                        "string holds a lone surrogate (an unpaired \\u escape)",
+                        f"{label} line {lineno}",
+                    ) from None
             if not isinstance(record, dict):
                 raise MalformedRecord(
                     "record must be a JSON object", f"{label} line {lineno}"

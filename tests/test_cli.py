@@ -131,6 +131,24 @@ def test_failed_analyze_keeps_previous_artifacts(tmp_path, two_papers_path, caps
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+def test_lone_surrogate_id_is_input_error(tmp_path, two_papers_path, capsys):
+    out = tmp_path / "keep"
+    assert main(["analyze", str(two_papers_path), "--output", str(out)]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    corpus = tmp_path / "surrogate.jsonl"
+    corpus.write_text(
+        '{"kind":"researcher","id":"R\\ud800","names":["N"],"discipline":"Other"}\n'
+        '{"kind":"publication","id":"P","title":"T","year":2000,'
+        '"authors":["R\\ud800"],"discipline":"Other"}\n',
+        encoding="utf-8",
+    )
+    assert main(["analyze", str(corpus), "--output", str(out)]) == EXIT_INPUT
+    record = last_stderr_record(capsys)
+    assert record["error"] == "MalformedRecord"
+    assert "line 1" in record["message"]
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_analyze_rejects_infinite_profile_alpha(tmp_path, two_papers_path, capsys):
     profiles_path = tmp_path / "profiles.json"
     profiles_path.write_text(

@@ -224,7 +224,11 @@ def test_non_utf8_jsonl_line_reports_location(tmp_path):
     data = good + b"\n" + b'{"kind":"researcher","id":"\xff"}\n' + good
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-    sources = [(path, str(path)), (data, "<bytes>"), (io.BytesIO(data), "<stream>")]
+    # as text, line 3's \xff is a lone surrogate, which is not UTF-8 either
+    text = io.StringIO(data.decode("utf-8", "surrogateescape"))
+    sources = [
+        (path, str(path)), (data, "<bytes>"), (io.BytesIO(data), "<stream>"), (text, "<stream>")
+    ]
     for source, label in sources:
         with pytest.raises(MalformedRecord) as err:
             parse_corpus(source)
@@ -447,6 +451,7 @@ def test_orcid_canonical_in_both_formats(tmp_path):
         researcher("U", "https://orcid.org/0000-0002-1825-0097"),
         researcher("H", "http://orcid.org/0000-0002-1825-0097 "),
         researcher("B", " 0000-0002-1825-0097"),
+        researcher("D", "https://orcid.org/ https://orcid.org/0000-0002-1825-0097"),
         researcher("S1", " "),
         researcher("S2", " "),
         {"kind": "publication", "id": "P", "title": "T", "year": 2000, "authors": ["S2"],
@@ -460,11 +465,22 @@ def test_orcid_canonical_in_both_formats(tmp_path):
     write_csv_bundle(records, tmp_path / "bundle")
     for corpus in (parse_corpus(jsonl), parse_corpus(tmp_path / "bundle", CorpusFormat.CSV_BUNDLE)):
         keys = {rid: person_key(r) for rid, r in corpus.researchers.items()}
-        assert keys["U"] == keys["H"] == keys["B"] == ("orcid", "0000-0002-1825-0097")
+        assert keys["U"] == keys["H"] == keys["B"] == keys["D"] == (
+            "orcid", "0000-0002-1825-0097"
+        )
         assert corpus.researchers["S1"].orcid is None
         assert keys["S1"] != keys["S2"]
         for mode in SelfCitationMode:
             assert count_citations(corpus, "S2", mode).self_total == 0
+
+
+@pytest.mark.parametrize(
+    "orcid", [" ", "", " 0000-1", "https://orcid.org/0000-1", "https://orcid.org/"]
+)
+def test_from_parts_rejects_orcid_the_parser_would_change(orcid):
+    # two blank ORCIDs used to give both researchers one person number
+    with pytest.raises(MalformedRecord, match="orcid"):
+        make_corpus([simple_researcher("A", orcid=orcid), simple_researcher("B", orcid=orcid)], [], [])
 
 
 def test_validate_warnings():

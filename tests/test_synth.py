@@ -15,7 +15,7 @@ from selfcite.corpus import (
     serialize_corpus,
     validate_corpus,
 )
-from selfcite.identity import SelfCitationMode, classify_self_citation, count_citations
+from selfcite.identity import SelfCitationMode, count_citations
 from selfcite.metrics import compute_h_index
 from selfcite import synth
 from selfcite.synth import (
@@ -31,6 +31,7 @@ from selfcite.synth import (
 )
 
 from conftest import DATA, make_corpus, simple_pub, simple_researcher, small_corpora
+from reference import is_self_citation
 
 YEARS = YearRange(1985, 2024)
 
@@ -472,16 +473,17 @@ def orcid_equals_id_corpus():
 
 
 def self_cited_works(corpus):
-    """Cited ids of the any-overlap self-citations, classified edge by edge."""
+    """Cited ids of the any-overlap self-citations, classified edge by edge
+    by the reference classifier."""
     return {
         e.cited_id
         for e in corpus.edges
-        if classify_self_citation(
+        if is_self_citation(
             corpus,
             e,
             corpus.publications[e.cited_id].author_ids[0],
             SelfCitationMode.ANY_OVERLAP,
-        ).is_self
+        )
     }
 
 
