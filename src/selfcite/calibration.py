@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Corpus, Discipline
+from .corpus import Corpus, Discipline, json_int, json_number
 from .identity import SelfCitationMode, count_citations
 from .metrics import InvalidParams, MetricParams, compute_scr
 
@@ -38,20 +38,19 @@ class Basis(Enum):
 class InsufficientCohort(ValueError):
     """Too few cited researchers in the discipline to estimate from."""
 
-    def __init__(self, count: int, needed: int = MIN_COHORT):
+    def __init__(self, count: int):
         self.count = count
-        self.needed = needed
+        self.needed = MIN_COHORT
         super().__init__(
-            f"cohort has {count} cited researchers, need at least {needed}"
+            f"cohort has {count} cited researchers, need at least {MIN_COHORT}"
         )
 
 
 class MalformedProfileFile(ValueError):
-    def __init__(self, reason: str, path=None):
+    def __init__(self, reason: str, path):
         self.reason = reason
         self.path = path
-        where = f"{path}: " if path else ""
-        super().__init__(f"{where}{reason}")
+        super().__init__(f"{path}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -85,16 +84,14 @@ def estimate_field_beta(
     discipline: Discipline,
     params_template: MetricParams = MetricParams(),
     mode: SelfCitationMode = SelfCitationMode.FOCAL,
-    min_cohort: int = MIN_COHORT,
 ) -> FieldProfile:
     """Estimate beta as the discipline cohort's median self-citation ratio.
 
     The cohort is every researcher filed under the discipline with at
-    least one incoming citation. Below ``min_cohort`` members the median
-    is too unstable to trust and ``InsufficientCohort`` is raised
-    (``min_cohort`` is relaxable for unit-scale fixtures). An even-sized
-    cohort takes the mean of the two central values. Alpha and gamma are
-    copied from the template unchanged.
+    least one incoming citation. Below ``MIN_COHORT`` members the median
+    is too unstable to trust and ``InsufficientCohort`` is raised. An
+    even-sized cohort takes the mean of the two central values. Alpha and
+    gamma are copied from the template unchanged.
     """
     ratios = []
     for rid in sorted(corpus.researchers):
@@ -103,8 +100,8 @@ def estimate_field_beta(
         counts = count_citations(corpus, rid, mode)
         if counts.total > 0:
             ratios.append(compute_scr(counts.self_total, counts.total))
-    if len(ratios) < min_cohort:
-        raise InsufficientCohort(len(ratios), min_cohort)
+    if len(ratios) < MIN_COHORT:
+        raise InsufficientCohort(len(ratios))
     return FieldProfile(
         discipline=discipline,
         params=MetricParams(
@@ -118,15 +115,14 @@ def estimate_field_beta(
 
 
 def load_profiles(path) -> dict[Discipline, FieldProfile]:
-    """Load a profile file; a missing file yields the default profiles.
+    """Load a profile file.
 
     Unknown discipline names, invalid parameter values, and estimated
     profiles with cohorts below the stable minimum are all rejected with
-    ``MalformedProfileFile``.
+    ``MalformedProfileFile``. As in a corpus file, ``sample_size`` must be
+    a JSON integer and the parameters JSON numbers.
     """
     path = Path(path)
-    if not path.exists():
-        return default_profiles()
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -144,12 +140,12 @@ def load_profiles(path) -> dict[Discipline, FieldProfile]:
             raise MalformedProfileFile(f"entry for {name!r} must be an object", path)
         try:
             params = MetricParams(
-                alpha=float(record["alpha"]),
-                beta=float(record["beta"]),
-                gamma=float(record["gamma"]),
+                alpha=json_number(record["alpha"], "alpha"),
+                beta=json_number(record["beta"], "beta"),
+                gamma=json_number(record["gamma"], "gamma"),
             )
             basis = Basis(record.get("basis", "default"))
-            sample_size = int(record.get("sample_size", 0))
+            sample_size = json_int(record.get("sample_size", 0), "sample_size")
             profile = FieldProfile(
                 discipline=discipline,
                 params=params,

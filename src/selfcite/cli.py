@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import traceback
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -64,6 +64,9 @@ _EXIT_CODES = (
 )
 
 HISTOGRAM_UPPER_PCT = 25.0
+# Bin edges print to 2 decimals, so more bins than hundredths in
+# [0, HISTOGRAM_UPPER_PCT] would print two edges alike.
+HISTOGRAM_MAX_BINS = round(HISTOGRAM_UPPER_PCT * 100)
 HISTOGRAM_TITLE = "Distribution of SCAI Adjustments"
 HISTOGRAM_X_LABEL = "Adjustment Magnitude (%)"
 HISTOGRAM_Y_LABEL = "Frequency"
@@ -146,43 +149,33 @@ def _truncate(
     corpus: Corpus, max_papers: Optional[int], max_citations: Optional[int]
 ) -> tuple[Corpus, dict]:
     """Deterministic truncation: keep the lowest publication ids, then the
-    lowest (citing, cited) edge pairs among surviving publications."""
+    lowest (citing, cited) edges among surviving publications."""
     info = {
         "max_papers": max_papers,
         "max_citations": max_citations,
         "publications_before": len(corpus.publications),
         "citations_before": len(corpus.edges),
     }
-    if max_papers is None and max_citations is None:
-        info["publications_after"] = info["publications_before"]
-        info["citations_after"] = info["citations_before"]
-        info["truncated"] = False
-        return corpus, info
-
-    kept_pub_ids = sorted(corpus.publications)
-    if max_papers is not None:
-        kept_pub_ids = kept_pub_ids[:max_papers]
-    kept_set = set(kept_pub_ids)
-    kept_edges = [
-        e for e in sorted(corpus.edges, key=lambda e: e.pair)
-        if e.citing_id in kept_set and e.cited_id in kept_set
-    ]
-    if max_citations is not None:
-        kept_edges = kept_edges[:max_citations]
-
-    truncated = Corpus.from_parts(
-        corpus.researchers.values(),
-        [corpus.publications[pid] for pid in kept_pub_ids],
-        kept_edges,
-        corpus.provenance,
-    )
-    info["publications_after"] = len(truncated.publications)
-    info["citations_after"] = len(truncated.edges)
+    if max_papers is not None or max_citations is not None:
+        kept_pub_ids = sorted(corpus.publications)[:max_papers]
+        kept_set = set(kept_pub_ids)
+        kept_edges = [
+            e for e in sorted(corpus.edges)
+            if e.citing_id in kept_set and e.cited_id in kept_set
+        ][:max_citations]
+        corpus = Corpus.from_parts(
+            corpus.researchers.values(),
+            [corpus.publications[pid] for pid in kept_pub_ids],
+            kept_edges,
+            corpus.provenance,
+        )
+    info["publications_after"] = len(corpus.publications)
+    info["citations_after"] = len(corpus.edges)
     info["truncated"] = (
         info["publications_after"] < info["publications_before"]
         or info["citations_after"] < info["citations_before"]
     )
-    return truncated, info
+    return corpus, info
 
 
 def run_analyze(args) -> int:
@@ -193,6 +186,9 @@ def run_analyze(args) -> int:
     if args.max_citations is not None and args.max_citations < 1:
         raise ValueError("--max-citations must be >= 1")
     mode = _MODE_FLAGS[args.self_citation_mode]
+    reference_year = args.reference_year
+    if reference_year is None:  # the run's one clock read; the manifest records it
+        reference_year = date.today().year
 
     _progress(args.visible, f"loading corpus from {args.input}")
     corpus = _load_corpus(args.input)
@@ -222,7 +218,7 @@ def run_analyze(args) -> int:
     artifacts = {"reports.json": reports_to_json_text(reports)}
     for filename, dimension in COHORT_FILES.items():
         artifacts[filename] = summaries_to_csv(
-            cohort_aggregate(reports, corpus, dimension, args.reference_year)
+            cohort_aggregate(reports, corpus, dimension, reference_year)
         )
     manifest = {
         "tool_version": __version__,
@@ -233,7 +229,7 @@ def run_analyze(args) -> int:
             "format_version": corpus.provenance.format_version,
         },
         "self_citation_mode": mode.value,
-        "reference_year": args.reference_year,
+        "reference_year": reference_year,
         "truncation": truncation,
         "profiles": profiles_to_json(profiles),
         "researchers": len(corpus.researchers),
@@ -247,26 +243,23 @@ def run_analyze(args) -> int:
 
 
 def emit_histogram(
-    reports: Sequence[MetricsReport],
-    bins: int,
-    output_path,
-    upper_pct: float = HISTOGRAM_UPPER_PCT,
+    reports: Sequence[MetricsReport], bins: int, output_path
 ) -> tuple[Path, Path]:
     """Bin SCAI adjustment magnitudes and write CSV + SVG chart.
 
     The adjustment for a researcher with h > 0 is (h - scai) / h, as a
-    percentage. Bins split [0, upper_pct] evenly; values beyond the upper
-    edge land in the last bin, so counts always sum to the number of
-    eligible reports. Reports with h = 0 carry no adjustment; if that is
+    percentage. Bins split [0, HISTOGRAM_UPPER_PCT] evenly; values beyond
+    the upper edge land in the last bin, so counts always sum to the number
+    of eligible reports. Reports with h = 0 carry no adjustment; if that is
     all of them, ``NoEligibleReports`` is raised.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    if not 1 <= bins <= HISTOGRAM_MAX_BINS:
+        raise ValueError(f"bins must be in [1, {HISTOGRAM_MAX_BINS}], got {bins}")
     eligible = [r for r in reports if r.h_index > 0]
     if not eligible:
         raise NoEligibleReports("no reports with h > 0; nothing to bin")
 
-    width = upper_pct / bins
+    width = HISTOGRAM_UPPER_PCT / bins
     counts = [0] * bins
     for report in eligible:
         adjustment_pct = (report.h_index - report.scai) / report.h_index * 100.0

@@ -181,19 +181,16 @@ def gap_reduction(
     is the fraction of the baseline gap that disappears. A zero baseline
     gap has no defined reduction and raises ``ZeroGap``.
     """
-    def members(key: CohortKey) -> list[MetricsReport]:
-        selected = [
-            r for r in reports
-            if group_value(corpus, r.researcher_id, key.dimension, reference_year)
-            == key.value
-        ]
-        if not selected:
-            raise EmptyGroup(key)
-        return selected
+    def summary(key: CohortKey) -> CohortSummary:
+        if reports:
+            for s in cohort_aggregate(reports, corpus, key.dimension, reference_year):
+                if s.key == key:
+                    return s
+        raise EmptyGroup(key)
 
-    a, b = members(group_a), members(group_b)
-    gap_h = sum(r.h_index for r in a) / len(a) - sum(r.h_index for r in b) / len(b)
-    gap_scai = sum(r.scai for r in a) / len(a) - sum(r.scai for r in b) / len(b)
+    a, b = summary(group_a), summary(group_b)
+    gap_h = a.mean_h - b.mean_h
+    gap_scai = a.mean_scai - b.mean_scai
     if gap_h == 0:
         raise ZeroGap("mean h-index gap is zero; relative reduction undefined")
     return GapReport(

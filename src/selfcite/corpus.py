@@ -46,7 +46,7 @@ from functools import cached_property
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 MIN_YEAR = 1500
 
@@ -100,10 +100,9 @@ class MalformedRecord(CorpusError):
 class DanglingReference(CorpusError):
     """An identifier does not resolve to any record in the corpus."""
 
-    def __init__(self, identifier: str, context: str = ""):
+    def __init__(self, identifier: str, context: str):
         self.identifier = identifier
-        detail = f" ({context})" if context else ""
-        super().__init__(f"unresolved identifier {identifier!r}{detail}")
+        super().__init__(f"unresolved identifier {identifier!r} ({context})")
 
 
 class DuplicateId(CorpusError):
@@ -130,14 +129,9 @@ class Publication:
     source_citation_count: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
-class CitationEdge:
+class CitationEdge(NamedTuple):
     citing_id: str
     cited_id: str
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.citing_id, self.cited_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,7 +256,7 @@ class Corpus:
                     )
 
         edge_list: list[CitationEdge] = []
-        seen_pairs: set[tuple[str, str]] = set()
+        seen: set[CitationEdge] = set()
         for e in edges:
             citing, cited = e.citing_id, e.cited_id
             if citing not in publication_map:
@@ -271,10 +265,9 @@ class Corpus:
                 raise DanglingReference(cited, "cited side of citation")
             if citing == cited:
                 raise MalformedRecord(f"publication {citing!r} cannot cite itself")
-            pair = (citing, cited)
-            if pair in seen_pairs:
+            if e in seen:
                 raise DuplicateId(f"{citing}->{cited}")
-            seen_pairs.add(pair)
+            seen.add(e)
             edge_list.append(e)
 
         return cls(
@@ -357,10 +350,31 @@ def _require_str(record: dict, key: str, location: str) -> str:
     return value
 
 
-def _require_int(value: object, what: str, location: str) -> int:
+def json_int(value: object, what: str) -> int:
+    """``value`` when it is a JSON integer. Anything else raises TypeError:
+    a float, a bool, or a string of digits."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedRecord(f"{what} must be an integer, got {value!r}", location)
+        raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_number(value: object, what: str) -> float:
+    """``value`` as a float when it is a JSON number. Anything else raises
+    TypeError: a bool, or a string of digits. An integer too large for a
+    float raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
+def _require_int(value: object, what: str, location: str) -> int:
+    try:
+        return json_int(value, what)
+    except TypeError as exc:
+        raise MalformedRecord(str(exc), location) from None
 
 
 # ORCIDs are compared as bare iDs. The checksum is not verified: test
@@ -667,7 +681,7 @@ def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
     # _encode_compact's bytes for {"kind": "citation", "citing": c, "cited": d},
     # quoting each id with the function that encoder uses
     quote = encode_basestring
-    for citing, cited in sorted([(e.citing_id, e.cited_id) for e in corpus.edges]):
+    for citing, cited in sorted(corpus.edges):
         yield f'{{"kind":"citation","citing":{quote(citing)},"cited":{quote(cited)}}}\n'
 
 

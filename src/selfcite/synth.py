@@ -23,10 +23,8 @@ within a fixed horizon after the self-citation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -40,6 +38,8 @@ from .corpus import (
     Provenance,
     Publication,
     Researcher,
+    json_int,
+    json_number,
     max_valid_year,
 )
 
@@ -141,7 +141,8 @@ class GeneratorSpec:
 
 
 def spec_from_json(raw: dict) -> GeneratorSpec:
-    """Build a GeneratorSpec from parsed JSON; InvalidSpec on any problem."""
+    """Build a GeneratorSpec from parsed JSON; InvalidSpec on any problem,
+    a number that a corpus file would refuse included."""
     if not isinstance(raw, dict):
         raise InvalidSpec("spec must hold a JSON object")
     try:
@@ -149,9 +150,9 @@ def spec_from_json(raw: dict) -> GeneratorSpec:
         groups = tuple(
             GroupSpec(
                 discipline=Discipline(g["discipline"]),
-                n_researchers=int(g["n_researchers"]),
-                target_mean_scr=float(g["target_mean_scr"]),
-                target_mean_h=float(g["target_mean_h"]),
+                n_researchers=json_int(g["n_researchers"], "n_researchers"),
+                target_mean_scr=json_number(g["target_mean_scr"], "target_mean_scr"),
+                target_mean_h=json_number(g["target_mean_h"], "target_mean_h"),
                 gender=Gender(g["gender"]) if g.get("gender") else Gender.UNREPORTED,
                 career_stage=(
                     CareerStage(g["career_stage"]) if g.get("career_stage") else None
@@ -160,29 +161,24 @@ def spec_from_json(raw: dict) -> GeneratorSpec:
             for g in raw["groups"]
         )
         return GeneratorSpec(
-            seed=int(raw["seed"]),
+            seed=json_int(raw["seed"], "seed"),
             groups=groups,
-            years=YearRange(start=int(years["start"]), end=int(years["end"])),
-            compounding_rate=float(
-                raw.get("compounding_rate", DEFAULT_COMPOUNDING_RATE)
+            years=YearRange(
+                start=json_int(years["start"], "years.start"),
+                end=json_int(years["end"], "years.end"),
             ),
-            compounding_horizon_years=int(
-                raw.get("compounding_horizon_years", DEFAULT_COMPOUNDING_HORIZON)
+            compounding_rate=json_number(
+                raw.get("compounding_rate", DEFAULT_COMPOUNDING_RATE), "compounding_rate"
+            ),
+            compounding_horizon_years=json_int(
+                raw.get("compounding_horizon_years", DEFAULT_COMPOUNDING_HORIZON),
+                "compounding_horizon_years",
             ),
         )
     except InvalidSpec:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec(f"malformed generator spec: {exc}") from None
-
-
-def load_generator_spec(path) -> GeneratorSpec:
-    """Read a GeneratorSpec from a JSON file; InvalidSpec on any problem."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidSpec(f"cannot read spec {path}: {exc}") from None
-    return spec_from_json(raw)
 
 
 # ---------------------------------------------------------------------------

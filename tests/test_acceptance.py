@@ -35,7 +35,7 @@ from selfcite.metrics import (
     compute_report,
     compute_scai,
 )
-from selfcite.synth import apply_compounding, generate_synthetic_corpus, load_generator_spec
+from selfcite.synth import apply_compounding, generate_synthetic_corpus, spec_from_json
 
 from conftest import DATA
 
@@ -217,7 +217,9 @@ def test_criterion_05_property_suite(capsys):
 def test_criterion_06_discipline_targets(capsys):
     with criterion(6, capsys):
         start = time.monotonic()
-        spec = load_generator_spec(DATA / "six_disciplines_spec.json")
+        spec = spec_from_json(
+            json.loads((DATA / "six_disciplines_spec.json").read_text(encoding="utf-8"))
+        )
         corpus = generate_synthetic_corpus(spec)
 
         realized_scr = {}

@@ -27,32 +27,30 @@ from conftest import corpus_with_ratios
 
 
 def test_median_odd_cohort():
-    corpus = corpus_with_ratios([(1, 20), (1, 10), (3, 10)])
-    profile = estimate_field_beta(
-        corpus, Discipline.ENGINEERING, min_cohort=3
-    )
+    corpus = corpus_with_ratios([(1, 20)] * 5 + [(1, 10)] + [(3, 10)] * 5)
+    profile = estimate_field_beta(corpus, Discipline.ENGINEERING)
     assert profile.params.beta == 0.10
     assert profile.basis is Basis.ESTIMATED
-    assert profile.sample_size == 3
+    assert profile.sample_size == 11
 
 
 def test_median_even_cohort_averages_middle_pair():
-    corpus = corpus_with_ratios([(0, 10), (1, 10), (3, 10), (5, 10)])
-    profile = estimate_field_beta(corpus, Discipline.ENGINEERING, min_cohort=4)
+    corpus = corpus_with_ratios([(0, 10)] * 5 + [(1, 10), (3, 10)] + [(5, 10)] * 5)
+    profile = estimate_field_beta(corpus, Discipline.ENGINEERING)
     assert profile.params.beta == pytest.approx(0.2, abs=1e-15)
 
 
 def test_all_equal_ratios_give_exact_beta():
-    corpus = corpus_with_ratios([(2, 10)] * 5)
-    profile = estimate_field_beta(corpus, Discipline.ENGINEERING, min_cohort=5)
+    corpus = corpus_with_ratios([(2, 10)] * MIN_COHORT)
+    profile = estimate_field_beta(corpus, Discipline.ENGINEERING)
     assert profile.params.beta == 0.2
 
 
 def test_uncited_researchers_excluded_from_cohort():
     # (0, 0) contributes a researcher with no citations at all
-    corpus = corpus_with_ratios([(1, 10), (2, 10), (3, 10), (0, 0)])
-    profile = estimate_field_beta(corpus, Discipline.ENGINEERING, min_cohort=3)
-    assert profile.sample_size == 3
+    corpus = corpus_with_ratios([(1, 10)] * 5 + [(2, 10)] + [(3, 10)] * 5 + [(0, 0)])
+    profile = estimate_field_beta(corpus, Discipline.ENGINEERING)
+    assert profile.sample_size == 11
     assert profile.params.beta == 0.2
 
 
@@ -133,10 +131,6 @@ def test_save_load_roundtrip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_missing_file_yields_defaults(tmp_path):
-    assert load_profiles(tmp_path / "nope.json") == default_profiles()
-
-
 def write_profile_file(tmp_path, payload):
     path = tmp_path / "profiles.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -158,6 +152,27 @@ def test_load_rejects_invalid_params(tmp_path):
         {"Engineering": {"alpha": -1.0, "beta": 0.1, "gamma": 1.5}},
     )
     with pytest.raises(MalformedProfileFile):
+        load_profiles(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sample_size", 12.7),
+        ("sample_size", True),
+        ("sample_size", "12"),
+        ("alpha", True),
+        ("alpha", "0.5"),
+        ("beta", "0.1"),
+        ("gamma", "2"),
+        pytest.param("gamma", 10**400, id="gamma-beyond-float"),
+    ],
+)
+def test_load_refuses_numbers_the_corpus_rules_refuse(tmp_path, field, value):
+    record = {"alpha": 0.5, "beta": 0.1, "gamma": 1.5, "sample_size": 12}
+    record[field] = value
+    path = write_profile_file(tmp_path, {"Engineering": record})
+    with pytest.raises(MalformedProfileFile, match=field):
         load_profiles(path)
 
 

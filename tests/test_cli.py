@@ -1,12 +1,18 @@
 import argparse
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+from datetime import date
 from pathlib import Path
 
 import pytest
 
+import selfcite
+from selfcite import cli
 from selfcite.cli import (
     COHORT_FILES,
     EXIT_INPUT,
@@ -431,6 +437,29 @@ def test_analyze_manifest_contents(tmp_path, two_papers_path):
     }
 
 
+def test_analyze_reads_the_clock_once_into_the_manifest(tmp_path, monkeypatch):
+    class FixedDate(date):
+        @classmethod
+        def today(cls):
+            return cls(2000, 6, 1)
+
+    def analyze(run, *flags):
+        out = str(tmp_path / run)
+        assert main(["analyze", str(DATA / "e2e_corpus.jsonl"), "--output", out, *flags]) == EXIT_OK
+
+    analyze("now", "--reference-year", str(date.today().year))
+    analyze("flag", "--reference-year", "2000")
+    monkeypatch.setattr(cli, "date", FixedDate)
+    analyze("clock")
+
+    assert read_json(tmp_path / "clock" / "manifest.json")["reference_year"] == 2000
+    stages = {
+        run: (tmp_path / run / "cohort_career_stage.csv").read_bytes()
+        for run in ("now", "flag", "clock")
+    }
+    assert stages["clock"] == stages["flag"] != stages["now"]
+
+
 # ---------------------------------------------------------------------------
 # histogram
 # ---------------------------------------------------------------------------
@@ -528,6 +557,26 @@ def test_histogram_cli_bad_bins(tmp_path, researcher_mid_path, capsys):
         ]
     )
     assert code == EXIT_USAGE
+
+
+def test_histogram_bins_stop_where_edge_labels_would_repeat(
+    tmp_path, researcher_mid_path, capsys
+):
+    csv_path, _ = emit_histogram([hist_report("A", 5, 5.0)], 2500, tmp_path / "max")
+    rows = [line.split(",") for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]]
+    lows = [low for low, _, _ in rows]
+    assert len(rows) == len(set(lows)) == 2500
+    assert [high for _, high, _ in rows] == lows[1:] + ["25.00"]
+
+    out = tmp_path / "analysis"
+    main(["analyze", str(researcher_mid_path), "--output", str(out)])
+    hist_out = tmp_path / "h"
+    code = main(
+        ["histogram", str(out / "reports.json"), "--output", str(hist_out), "--bins", "2501"]
+    )
+    assert code == EXIT_USAGE
+    assert last_stderr_record(capsys)["error"] == "ValueError"
+    assert not hist_out.exists()
 
 
 def test_histogram_cli_missing_reports(tmp_path, capsys):
@@ -637,6 +686,14 @@ def test_synth_cli_unparseable_spec(tmp_path, capsys):
     spec_path.write_text("{broken", encoding="utf-8")
     code = main(["synth", str(spec_path), "--output", str(tmp_path / "c.jsonl")])
     assert code == EXIT_INPUT
+
+
+def test_synth_cli_non_utf8_spec(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(b"\xff\xfe")
+    code = main(["synth", str(spec_path), "--output", str(tmp_path / "c.jsonl")])
+    assert code == EXIT_INPUT
+    assert last_stderr_record(capsys)["error"] == "UnicodeDecodeError"
 
 
 def test_synth_cli_non_object_spec(tmp_path, capsys):
@@ -833,6 +890,44 @@ def test_argument_surface_is_pinned():
         for name, sub in commands.choices.items()
     }
     assert surface == ARGUMENT_SURFACE
+
+
+# The parameters that have a default, for each public function and
+# exception of the library: a new knob is a deliberate edit here.
+OPTION_SURFACE = {
+    "calibration.estimate_field_beta": ["params_template", "mode"],
+    "cli.main": ["argv"],
+    "cohort.cohort_aggregate": ["reference_year"],
+    "cohort.gap_reduction": ["reference_year"],
+    "cohort.group_value": ["reference_year"],
+    "corpus.MalformedRecord": ["location"],
+    "corpus.parse_corpus": ["format"],
+    "identity.count_citations": ["mode"],
+    "metrics.compute_report": ["params", "mode"],
+    "metrics.compute_scai": ["params"],
+    "metrics.report_from_counts": ["params"],
+    "synth.apply_compounding": ["horizon_years", "seed"],
+}
+
+
+def test_option_surface_is_pinned():
+    surface = {}
+    for info in pkgutil.iter_modules(selfcite.__path__):
+        module = importlib.import_module(f"selfcite.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj) and issubclass(obj, BaseException):
+                obj = obj.__init__
+            elif not inspect.isfunction(obj):
+                continue
+            defaults = [
+                p.name for p in inspect.signature(obj).parameters.values()
+                if p.default is not p.empty
+            ]
+            if defaults:
+                surface[f"{info.name}.{name}"] = defaults
+    assert surface == OPTION_SURFACE
 
 
 def test_unknown_command_exits_with_usage():

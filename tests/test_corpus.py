@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 from datetime import date
@@ -43,7 +42,7 @@ def test_parse_two_papers_fixture(two_papers_path):
     corpus = parse_corpus(two_papers_path)
     assert set(corpus.researchers) == {"A"}
     assert set(corpus.publications) == {"P1", "P2"}
-    assert [e.pair for e in corpus.edges] == [("P2", "P1")]
+    assert corpus.edges == (("P2", "P1"),)
     assert corpus.publications["P1"].year == 2010
     assert corpus.researchers["A"].gender is Gender.UNREPORTED
 
@@ -527,7 +526,7 @@ def test_serialization_roundtrip_property(corpus):
     assert serialize_corpus(reparsed) == text
     assert reparsed.researchers == corpus.researchers
     assert reparsed.publications == corpus.publications
-    assert set(e.pair for e in reparsed.edges) == set(e.pair for e in corpus.edges)
+    assert set(reparsed.edges) == set(corpus.edges)
 
 
 def test_write_corpus_streams_serialize_corpus_bytes(tmp_path, researcher_mid_path):
@@ -666,5 +665,6 @@ def test_parsed_ids_share_one_string(source, researcher_mid_path):
 )
 def test_records_are_slotted_and_frozen(record, field):
     assert not hasattr(record, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    # a tuple's AttributeError; dataclasses.FrozenInstanceError subclasses it
+    with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))

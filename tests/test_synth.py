@@ -26,7 +26,6 @@ from selfcite.synth import (
     YearRange,
     apply_compounding,
     generate_synthetic_corpus,
-    load_generator_spec,
     spec_from_json,
 )
 
@@ -179,6 +178,18 @@ def test_spec_from_json_optional_fields_default():
         lambda raw: raw["groups"][0].update(discipline="Alchemy"),
         lambda raw: raw["groups"][0].update(career_stage="Emeritus"),
         lambda raw: raw["groups"][0].update(n_researchers="many"),
+        # numbers follow the corpus rules: no fractions, bools or strings
+        lambda raw: raw.update(seed=1.9),
+        lambda raw: raw.update(seed=True),
+        lambda raw: raw.update(seed="1"),
+        lambda raw: raw["groups"][0].update(n_researchers=2.9),
+        lambda raw: raw["groups"][0].update(n_researchers="2"),
+        lambda raw: raw["groups"][0].update(target_mean_h="5"),
+        lambda raw: raw["groups"][0].update(target_mean_scr=True),
+        lambda raw: raw["years"].update(start=1990.6),
+        lambda raw: raw.update(compounding_horizon_years=2.5),
+        lambda raw: raw.update(compounding_rate="3"),
+        lambda raw: raw["groups"][0].update(target_mean_h=10**400),
     ],
 )
 def test_spec_from_json_rejects_malformed(mutate):
@@ -188,40 +199,6 @@ def test_spec_from_json_rejects_malformed(mutate):
     mutate(raw)
     with pytest.raises(InvalidSpec):
         spec_from_json(raw)
-
-
-def test_load_spec_missing_file(tmp_path):
-    with pytest.raises(InvalidSpec):
-        load_generator_spec(tmp_path / "none.json")
-
-
-def test_load_spec_invalid_json(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text("{", encoding="utf-8")
-    with pytest.raises(InvalidSpec):
-        load_generator_spec(path)
-
-
-def test_load_spec_non_utf8(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_bytes(b"\xff\xfe")
-    with pytest.raises(InvalidSpec):
-        load_generator_spec(path)
-
-
-def test_load_spec_non_object(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text("[1, 2]", encoding="utf-8")
-    with pytest.raises(InvalidSpec):
-        load_generator_spec(path)
-
-
-def test_load_spec_valid_file(tmp_path):
-    import json
-
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(RAW_SPEC), encoding="utf-8")
-    assert load_generator_spec(path) == spec_from_json(RAW_SPEC)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +488,7 @@ def test_compounding_only_adds():
     grown = apply_compounding(corpus, 3.0, seed=4)
     assert set(corpus.researchers) <= set(grown.researchers)
     assert set(corpus.publications) <= set(grown.publications)
-    assert {e.pair for e in corpus.edges} <= {e.pair for e in grown.edges}
+    assert set(corpus.edges) <= set(grown.edges)
 
 
 @pytest.mark.parametrize(
@@ -521,8 +498,8 @@ def test_compounding_new_edges_target_self_cited_works(build):
     corpus = build()
     self_cited = self_cited_works(corpus)
     grown = apply_compounding(corpus, 3.0, seed=4)
-    old_pairs = {e.pair for e in corpus.edges}
-    new_edges = [e for e in grown.edges if e.pair not in old_pairs]
+    old_edges = set(corpus.edges)
+    new_edges = [e for e in grown.edges if e not in old_edges]
     assert new_edges
     for edge in new_edges:
         assert edge.cited_id in self_cited
@@ -536,8 +513,8 @@ def test_compounding_new_edges_target_self_cited_works(build):
 def test_compounding_targets_match_per_edge_classification(corpus):
     # at rate 30 a self-citation spawns nothing with probability e**-30
     grown = apply_compounding(corpus, 30.0, seed=1)
-    old_pairs = {e.pair for e in corpus.edges}
-    targets = {e.cited_id for e in grown.edges if e.pair not in old_pairs}
+    old_edges = set(corpus.edges)
+    targets = {e.cited_id for e in grown.edges if e not in old_edges}
     assert targets == self_cited_works(corpus)
 
 
