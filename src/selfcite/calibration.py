@@ -120,12 +120,14 @@ def load_profiles(path) -> dict[Discipline, FieldProfile]:
     Unknown discipline names, invalid parameter values, and estimated
     profiles with cohorts below the stable minimum are all rejected with
     ``MalformedProfileFile``. As in a corpus file, ``sample_size`` must be
-    a JSON integer and the parameters JSON numbers.
+    a JSON integer and the parameters JSON numbers. A file that cannot be
+    read raises its ``OSError``: ``FileNotFoundError``, carrying the path,
+    when it is absent.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedProfileFile(f"cannot parse profile file: {exc}", path) from None
     if not isinstance(raw, dict):
         raise MalformedProfileFile("profile file must be a JSON object", path)

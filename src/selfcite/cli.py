@@ -154,23 +154,24 @@ def _truncate(
         "max_papers": max_papers,
         "max_citations": max_citations,
         "publications_before": len(corpus.publications),
-        "citations_before": len(corpus.edges),
+        "citations_before": len(corpus.citing),
     }
     if max_papers is not None or max_citations is not None:
-        kept_pub_ids = sorted(corpus.publications)[:max_papers]
-        kept_set = set(kept_pub_ids)
-        kept_edges = [
-            e for e in sorted(corpus.edges)
-            if e.citing_id in kept_set and e.cited_id in kept_set
+        kept_pub_ids = corpus.publication_ids[:max_papers]
+        kept = len(kept_pub_ids)  # numbers below this survive
+        kept_pairs = [
+            (citing, cited) for citing, cited in corpus.sorted_citations()
+            if citing < kept and cited < kept
         ][:max_citations]
-        corpus = Corpus.from_parts(
+        corpus = Corpus._from_columns(
             corpus.researchers.values(),
             [corpus.publications[pid] for pid in kept_pub_ids],
-            kept_edges,
+            [kept_pub_ids[citing] for citing, _ in kept_pairs],
+            [kept_pub_ids[cited] for _, cited in kept_pairs],
             corpus.provenance,
         )
     info["publications_after"] = len(corpus.publications)
-    info["citations_after"] = len(corpus.edges)
+    info["citations_after"] = len(corpus.citing)
     info["truncated"] = (
         info["publications_after"] < info["publications_before"]
         or info["citations_after"] < info["citations_before"]
@@ -288,10 +289,14 @@ def run_histogram(args) -> int:
     raw = _read_json(args.reports)
     if not isinstance(raw, list):
         raise MalformedRecord("reports file must hold a JSON array", args.reports)
-    try:
-        reports = [report_from_json(record) for record in raw]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(f"invalid report ({exc!r})", args.reports) from None
+    reports = []
+    for index, record in enumerate(raw):
+        try:
+            reports.append(report_from_json(record))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecord(
+                f"invalid report ({exc!r})", f"{args.reports} report {index}"
+            ) from None
     csv_path, svg_path = emit_histogram(reports, args.bins, args.output)
     _progress(
         args.visible,
@@ -326,7 +331,7 @@ def run_synth(args) -> int:
     _progress(
         args.visible,
         f"wrote {len(corpus.publications)} publications, "
-        f"{len(corpus.edges)} citations to {args.output}",
+        f"{len(corpus.citing)} citations to {args.output}",
     )
     return EXIT_OK
 

@@ -39,14 +39,18 @@ import csv
 import io
 import json
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
+from itertools import islice, repeat
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
+from operator import add, eq, mod, mul
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MIN_YEAR = 1500
 
@@ -179,14 +183,27 @@ class Corpus:
     """Validated, read-only citation corpus.
 
     Instances are only created through :meth:`from_parts` (or the parsers,
-    which delegate to it), so every corpus in circulation satisfies
-    referential integrity. Treat the contained collections as read-only;
-    the derived indexes below are cached against the loaded state.
+    which delegate to the same check), so every corpus in circulation
+    satisfies referential integrity. Treat the contained collections as
+    read-only; the derived indexes below are cached against the loaded
+    state.
+
+    Publications are numbered in sorted-id order, so integer order is id
+    order: ``publication_ids[n]`` is number ``n``'s id and
+    ``publication_numbers`` maps back. The citation graph is two
+    ``array('i')`` columns of publication numbers in input order, citation
+    ``i`` being ``citing[i]`` citing ``cited[i]``. ``incoming_edges`` is
+    the same graph as a CSR index ``(offsets, citers)``: the numbers citing
+    publication ``n`` are ``citers[offsets[n]:offsets[n + 1]]``, ascending.
     """
 
     publications: dict[str, Publication]
     researchers: dict[str, Researcher]
-    edges: tuple[CitationEdge, ...]
+    publication_ids: tuple[str, ...]
+    publication_numbers: dict[str, int]
+    citing: array
+    cited: array
+    incoming_edges: tuple[array, array]
     provenance: Provenance
 
     @classmethod
@@ -198,6 +215,24 @@ class Corpus:
         provenance: Provenance,
     ) -> "Corpus":
         """Assemble and fully validate a corpus; raises on any violation."""
+        citing: list[str] = []
+        cited: list[str] = []
+        for e in edges:  # by field name, so a bare tuple is refused
+            citing.append(e.citing_id)
+            cited.append(e.cited_id)
+        return cls._from_columns(researchers, publications, citing, cited, provenance)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        researchers: Iterable[Researcher],
+        publications: Iterable[Publication],
+        citing_ids: Sequence[str],
+        cited_ids: Sequence[str],
+        provenance: Provenance,
+    ) -> "Corpus":
+        """:meth:`from_parts` with citation ``i`` given as ``citing_ids[i]``
+        citing ``cited_ids[i]``: the check every corpus passes."""
         year_hi = max_valid_year()
 
         researcher_map: dict[str, Researcher] = {}
@@ -255,25 +290,17 @@ class Corpus:
                         author_id, f"author of publication {p.pub_id!r}"
                     )
 
-        edge_list: list[CitationEdge] = []
-        seen: set[CitationEdge] = set()
-        for e in edges:
-            citing, cited = e.citing_id, e.cited_id
-            if citing not in publication_map:
-                raise DanglingReference(citing, "citing side of citation")
-            if cited not in publication_map:
-                raise DanglingReference(cited, "cited side of citation")
-            if citing == cited:
-                raise MalformedRecord(f"publication {citing!r} cannot cite itself")
-            if e in seen:
-                raise DuplicateId(f"{citing}->{cited}")
-            seen.add(e)
-            edge_list.append(e)
-
+        publication_ids = tuple(sorted(publication_map))
+        numbers = dict(zip(publication_ids, range(len(publication_ids))))
+        citing, cited, incoming = _number_edges(numbers, citing_ids, cited_ids)
         return cls(
             publications=publication_map,
             researchers=researcher_map,
-            edges=tuple(edge_list),
+            publication_ids=publication_ids,
+            publication_numbers=numbers,
+            citing=citing,
+            cited=cited,
+            incoming_edges=incoming,
             provenance=provenance,
         )
 
@@ -282,6 +309,19 @@ class Corpus:
             return self.researchers[researcher_id]
         except KeyError:
             raise UnknownResearcher(researcher_id) from None
+
+    @cached_property
+    def edges(self) -> tuple[CitationEdge, ...]:
+        """The citations as ``CitationEdge``s, in input order: a view of
+        the number columns for library callers, built on first access."""
+        pid = self.publication_ids.__getitem__
+        return tuple(map(CitationEdge, map(pid, self.citing), map(pid, self.cited)))
+
+    def sorted_citations(self) -> Iterator[tuple[int, int]]:
+        """(citing, cited) number pairs in (citing id, cited id) order."""
+        n = len(self.publication_ids)
+        for key in sorted(map(add, map(mul, self.citing, repeat(n)), self.cited)):
+            yield divmod(key, n)
 
     @cached_property
     def publications_by_author(self) -> dict[str, tuple[str, ...]]:
@@ -293,12 +333,10 @@ class Corpus:
         return {rid: tuple(sorted(pids)) for rid, pids in index.items()}
 
     @cached_property
-    def incoming_edges(self) -> dict[str, tuple[CitationEdge, ...]]:
-        """Cited publication id -> edges pointing at it."""
-        index: dict[str, list[CitationEdge]] = {}
-        for edge in self.edges:
-            index.setdefault(edge.cited_id, []).append(edge)
-        return {pid: tuple(es) for pid, es in index.items()}
+    def publication_years(self) -> array:
+        """Publication number -> year."""
+        publications = self.publications
+        return array("i", (publications[pid].year for pid in self.publication_ids))
 
     @cached_property
     def person_numbers(self) -> dict[str, int]:
@@ -312,10 +350,54 @@ class Corpus:
         }
 
     @cached_property
-    def publication_persons(self) -> dict[str, tuple[int, ...]]:
-        """Publication id -> its authors' person numbers, in author order."""
+    def publication_persons(self) -> tuple[tuple[int, ...], ...]:
+        """Publication number -> its authors' person numbers, in author order."""
         number = self.person_numbers.__getitem__
-        return {pid: tuple(map(number, p.author_ids)) for pid, p in self.publications.items()}
+        publications = self.publications
+        return tuple(
+            tuple(map(number, publications[pid].author_ids)) for pid in self.publication_ids
+        )
+
+
+def _number_edges(
+    numbers: dict[str, int], citing_ids: Sequence[str], cited_ids: Sequence[str]
+) -> tuple[array, array, tuple[array, array]]:
+    """The citing and cited number columns and the incoming CSR index.
+
+    Raises on a dangling id, a self-citation or a repeated pair. The columns
+    are checked whole, at C speed; when one of them fails, the edges are
+    walked again in order, so the first faulty edge is the one reported.
+    """
+    number = numbers.__getitem__
+    try:
+        citing = array("i", map(number, citing_ids))
+        cited = array("i", map(number, cited_ids))
+    except KeyError:
+        _raise_first_edge_fault(numbers, citing_ids, cited_ids)
+    # cited-major keys: sorted, a repeated pair is two equal neighbours,
+    # and each cited publication's citers form one ascending run
+    n = len(numbers)
+    keys = sorted(map(add, map(mul, cited, repeat(n)), citing))
+    if any(map(eq, citing, cited)) or any(map(eq, keys, islice(keys, 1, None))):
+        _raise_first_edge_fault(numbers, citing_ids, cited_ids)
+    offsets = array("i", map(bisect_left, repeat(keys), range(0, n * n + 1, n or 1)))
+    return citing, cited, (offsets, array("i", map(mod, keys, repeat(n))))
+
+
+def _raise_first_edge_fault(numbers, citing_ids, cited_ids) -> None:
+    """Raise the fault of the first faulty edge, walking them in order."""
+    seen: set[tuple[str, str]] = set()
+    for citing, cited in zip(citing_ids, cited_ids):
+        if citing not in numbers:
+            raise DanglingReference(citing, "citing side of citation")
+        if cited not in numbers:
+            raise DanglingReference(cited, "cited side of citation")
+        if citing == cited:
+            raise MalformedRecord(f"publication {citing!r} cannot cite itself")
+        if (citing, cited) in seen:
+            raise DuplicateId(f"{citing}->{cited}")
+        seen.add((citing, cited))
+    raise AssertionError("the edge columns hold no fault")
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +518,11 @@ def _publication_from_json(record: dict, location: str, ids: dict[str, str]) -> 
     )
 
 
-def _citation_from_json(record: dict, location: str, ids: dict[str, str]) -> CitationEdge:
+def _citation_from_json(record: dict, location: str, ids: dict[str, str]) -> tuple[str, str]:
+    """The (citing, cited) ids of a citation record."""
     citing = _require_str(record, "citing", location)
     cited = _require_str(record, "cited", location)
-    return CitationEdge(ids.setdefault(citing, citing), ids.setdefault(cited, cited))
+    return ids.setdefault(citing, citing), ids.setdefault(cited, cited)
 
 
 def parse_corpus(source, format: CorpusFormat = CorpusFormat.JSONL) -> Corpus:
@@ -497,25 +580,45 @@ def _decode_line(line: str):
     return value if end == len(line) else json.loads(line)
 
 
+# A citation line exactly as write_corpus writes it, for ids holding no
+# quote, backslash or control character: the ids are the JSON string
+# contents unchanged, so the line decodes to what json.loads would give.
+# Every other line goes through the JSON decoder.
+_CITATION_LINE = re.compile(
+    r'\{"kind":"citation","citing":"([^"\\\x00-\x1f]+)","cited":"([^"\\\x00-\x1f]+)"\}\n?'
+)
+
+
 def _parse_jsonl(source) -> Corpus:
     stream, label, needs_close = _open_lines(source)
     researchers: list[Researcher] = []
     publications: list[Publication] = []
-    edges: list[CitationEdge] = []
+    citing: list[str] = []
+    cited: list[str] = []
     # Equal ids share one str: researcher, publication, author, citing and
     # cited ids all pass through this table. A local table rather than
     # sys.intern, whose strings newer CPythons keep for the whole process.
     ids: dict[str, str] = {}
     share = ids.setdefault
     decode = _decode_line
+    citation_line = _CITATION_LINE.fullmatch
+    add_citing = citing.append
+    add_cited = cited.append
     try:
         for lineno, line in enumerate(stream, start=1):
             try:
-                line = line.decode("utf-8").strip()
+                line = line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedRecord(
                     f"invalid UTF-8 ({exc})", f"{label} line {lineno}"
                 ) from None
+            citation = citation_line(line)
+            if citation is not None:
+                c, d = citation.groups()
+                add_citing(share(c, c))
+                add_cited(share(d, d))
+                continue
+            line = line.strip()
             if not line:
                 continue
             try:
@@ -538,12 +641,9 @@ def _parse_jsonl(source) -> Corpus:
                 )
             kind = record.get("kind")
             if kind == "citation":
-                citing = record.get("citing")
-                cited = record.get("cited")
-                if isinstance(citing, str) and citing and isinstance(cited, str) and cited:
-                    edges.append(CitationEdge(share(citing, citing), share(cited, cited)))
-                else:
-                    _citation_from_json(record, f"{label} line {lineno}", ids)  # raises
+                c, d = _citation_from_json(record, f"{label} line {lineno}", ids)
+                add_citing(c)
+                add_cited(d)
             elif kind == "researcher":
                 researchers.append(
                     _researcher_from_json(record, f"{label} line {lineno}", ids)
@@ -560,7 +660,7 @@ def _parse_jsonl(source) -> Corpus:
         if needs_close:
             stream.close()
     provenance = Provenance(source=label, format_version=f"jsonl/{FORMAT_VERSION}")
-    return Corpus.from_parts(researchers, publications, edges, provenance)
+    return Corpus._from_columns(researchers, publications, citing, cited, provenance)
 
 
 def _csv_record(row: dict, location: str, lists: tuple, integers: tuple) -> dict:
@@ -625,12 +725,14 @@ def _parse_csv_bundle(source) -> Corpus:
             base / "publications.csv", ["id", "title", "year", "authors", "discipline"]
         )
     ]
-    edges = [
-        _citation_from_json(row, loc, ids)
-        for row, loc in _csv_rows(base / "citations.csv", ["citing", "cited"])
-    ]
+    citing: list[str] = []
+    cited: list[str] = []
+    for row, loc in _csv_rows(base / "citations.csv", ["citing", "cited"]):
+        c, d = _citation_from_json(row, loc, ids)
+        citing.append(c)
+        cited.append(d)
     provenance = Provenance(source=str(base), format_version=f"csv_bundle/{FORMAT_VERSION}")
-    return Corpus.from_parts(researchers, publications, edges, provenance)
+    return Corpus._from_columns(researchers, publications, citing, cited, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +782,9 @@ def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
         yield _encode_compact(_publication_to_json(corpus.publications[pid])) + "\n"
     # _encode_compact's bytes for {"kind": "citation", "citing": c, "cited": d},
     # quoting each id with the function that encoder uses
-    quote = encode_basestring
-    for citing, cited in sorted(corpus.edges):
-        yield f'{{"kind":"citation","citing":{quote(citing)},"cited":{quote(cited)}}}\n'
+    quoted = list(map(encode_basestring, corpus.publication_ids))
+    for citing, cited in corpus.sorted_citations():
+        yield f'{{"kind":"citation","citing":{quoted[citing]},"cited":{quoted[cited]}}}\n'
 
 
 def serialize_corpus(corpus: Corpus) -> str:
@@ -713,16 +815,16 @@ def validate_corpus(corpus: Corpus) -> list[CorpusWarning]:
     publication, and publications filed under the catch-all discipline.
     """
     warnings: list[CorpusWarning] = []
-    for edge in corpus.edges:
-        citing = corpus.publications[edge.citing_id]
-        cited = corpus.publications[edge.cited_id]
-        if citing.year < cited.year:
+    ids = corpus.publication_ids
+    years = corpus.publication_years
+    for citing, cited in zip(corpus.citing, corpus.cited):
+        if years[citing] < years[cited]:
             warnings.append(CorpusWarning(
                 code=WarningCode.TIME_TRAVEL_CITATION,
-                subject=edge.citing_id,
+                subject=ids[citing],
                 detail=(
-                    f"{edge.citing_id} ({citing.year}) cites "
-                    f"{edge.cited_id} ({cited.year})"
+                    f"{ids[citing]} ({years[citing]}) cites "
+                    f"{ids[cited]} ({years[cited]})"
                 ),
             ))
     for rid in sorted(corpus.researchers):

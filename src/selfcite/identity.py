@@ -4,7 +4,8 @@ A citation is a self-citation when the citing and the cited paper share a
 person. Two corpus records are one person when they are the same record
 or carry the same ORCID, which :func:`selfcite.corpus.person_key` encodes;
 the corpus numbers those keys once (``Corpus.person_numbers``), and
-:func:`count_citations` tests person numbers edge by edge.
+:func:`count_citations` tests person numbers edge by edge, walking the
+corpus's incoming CSR index.
 """
 
 from __future__ import annotations
@@ -68,20 +69,23 @@ def count_citations(
     corpus.researcher(focal)  # raises UnknownResearcher
     focal_persons = {corpus.person_numbers[focal]}
     persons = corpus.publication_persons
+    years = corpus.publication_years
+    number = corpus.publication_numbers
+    offsets, citers = corpus.incoming_edges
     any_overlap = mode is SelfCitationMode.ANY_OVERLAP
     per_publication: dict[str, Tally] = {}
     year_totals: dict[int, list[int]] = {}
     for pub_id in corpus.publications_by_author.get(focal, ()):
-        cited_persons = set(persons[pub_id]) if any_overlap else focal_persons
-        edges = corpus.incoming_edges.get(pub_id, ())
+        cited = number[pub_id]
+        cited_persons = set(persons[cited]) if any_overlap else focal_persons
+        start, stop = offsets[cited], offsets[cited + 1]
         self_count = 0
-        for edge in edges:
-            citing_year = corpus.publications[edge.citing_id].year
-            bucket = year_totals.setdefault(citing_year, [0, 0])
+        for citing in citers[start:stop]:
+            bucket = year_totals.setdefault(years[citing], [0, 0])
             bucket[0] += 1
-            if not cited_persons.isdisjoint(persons[edge.citing_id]):
+            if not cited_persons.isdisjoint(persons[citing]):
                 self_count += 1
                 bucket[1] += 1
-        per_publication[pub_id] = Tally(total=len(edges), self=self_count)
+        per_publication[pub_id] = Tally(total=stop - start, self=self_count)
     per_year = {year: Tally(*pair) for year, pair in sorted(year_totals.items())}
     return CitationCounts(focal, per_publication, per_year)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Optional, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, json_int, json_number
 from .identity import CitationCounts, SelfCitationMode, count_citations
 
 DEFAULT_ALPHA = 0.5
@@ -252,22 +252,43 @@ def reports_to_json_text(reports: Sequence[MetricsReport]) -> str:
 
 
 def report_from_json(record: dict) -> MetricsReport:
-    """Rebuild a report from its JSON form (inverse of report_to_json)."""
+    """Rebuild a report from its JSON form (inverse of report_to_json).
+
+    Counts must be JSON integers and ratios JSON numbers (TypeError
+    otherwise), and the report must be one :func:`report_from_counts` can
+    give: 0 <= scai <= h, 0 <= h_index_external <= h, 0 <= self_citations
+    <= total_citations and 0 <= scr <= 1 (ValueError otherwise).
+    """
+    h = json_int(record["h_index"], "h_index")
+    h_external = json_int(record["h_index_external"], "h_index_external")
+    total = json_int(record["total_citations"], "total_citations")
+    self_total = json_int(record["self_citations"], "self_citations")
+    scr = json_number(record["scr"], "scr")
+    scai = json_number(record["scai"], "scai")
+    inflation = record.get("inflation")
+    if not 0 <= scai <= h:
+        raise ValueError(f"scai {scai} outside [0, h_index {h}]")
+    if not 0 <= h_external <= h:
+        raise ValueError(f"h_index_external {h_external} outside [0, h_index {h}]")
+    if not 0 <= self_total <= total:
+        raise ValueError(
+            f"self_citations {self_total} outside [0, total_citations {total}]"
+        )
+    if not 0 <= scr <= 1:
+        raise ValueError(f"scr {scr} outside [0, 1]")
     return MetricsReport(
         researcher_id=record["researcher_id"],
-        h_index=int(record["h_index"]),
-        h_index_external=int(record["h_index_external"]),
-        i10_index=int(record["i10_index"]),
-        total_citations=int(record["total_citations"]),
-        self_citations=int(record["self_citations"]),
-        scr=float(record["scr"]),
-        scai=float(record["scai"]),
-        s_index=int(record["s_index"]),
-        inflation=(
-            None if record.get("inflation") is None else float(record["inflation"])
-        ),
+        h_index=h,
+        h_index_external=h_external,
+        i10_index=json_int(record["i10_index"], "i10_index"),
+        total_citations=total,
+        self_citations=self_total,
+        scr=scr,
+        scai=scai,
+        s_index=json_int(record["s_index"], "s_index"),
+        inflation=None if inflation is None else json_number(inflation, "inflation"),
         yearly_scr={
-            int(year): float(value)
+            int(year): json_number(value, f"yearly_scr[{year!r}]")
             for year, value in record.get("yearly_scr", {}).items()
         },
     )

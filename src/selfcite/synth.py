@@ -31,7 +31,7 @@ import numpy as np
 
 from .cohort import CareerStage
 from .corpus import (
-    CitationEdge,
+    MIN_YEAR,
     Corpus,
     Discipline,
     Gender,
@@ -98,8 +98,15 @@ class GeneratorSpec:
     compounding_horizon_years: int = DEFAULT_COMPOUNDING_HORIZON
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if not self.groups:
             raise InvalidSpec("spec needs at least one group")
+        if self.years.start < MIN_YEAR:
+            raise InvalidSpec(
+                f"years.start {self.years.start} is before the earliest "
+                f"valid year {MIN_YEAR}"
+            )
         if self.years.start > self.years.end:
             raise InvalidSpec(
                 f"year range [{self.years.start}, {self.years.end}] is empty"
@@ -203,7 +210,9 @@ class _Builder:
         self.researchers: list[Researcher] = []
         self.by_id: dict[str, Researcher] = {}
         self.publications: list[Publication] = []
-        self.edges: list[CitationEdge] = []
+        # citation i is citing[i] citing cited[i]
+        self.citing: list[str] = []
+        self.cited: list[str] = []
         # researcher id -> open citing bundles in creation order; a bundle
         # leaves the list when its last slot is taken
         self.bundles: dict[str, list[_CiterBundle]] = {}
@@ -268,7 +277,8 @@ class _Builder:
         return pub_id
 
     def add_edge(self, citing: str, cited: str) -> None:
-        self.edges.append(CitationEdge(citing_id=citing, cited_id=cited))
+        self.citing.append(citing)
+        self.cited.append(cited)
 
 
 def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
@@ -397,8 +407,8 @@ def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
     provenance = Provenance(
         source=f"synthetic:seed={spec.seed}", format_version="synth/1"
     )
-    return Corpus.from_parts(
-        builder.researchers, builder.publications, builder.edges, provenance
+    return Corpus._from_columns(
+        builder.researchers, builder.publications, builder.citing, builder.cited, provenance
     )
 
 
@@ -433,7 +443,7 @@ def apply_compounding(
     year_cap = max_valid_year()
     new_researchers: list[Researcher] = []
     new_publications: list[Publication] = []
-    new_edges: list[CitationEdge] = []
+    new_cited: list[str] = []  # the new publications cite these, one each
     serial = 0
 
     def fresh_ids() -> tuple[str, str]:
@@ -446,10 +456,12 @@ def apply_compounding(
                 return rid, pid
 
     persons = corpus.publication_persons
-    for edge in corpus.edges:
-        if set(persons[edge.citing_id]).isdisjoint(persons[edge.cited_id]):
+    years = corpus.publication_years
+    ids = corpus.publication_ids
+    for citing, cited in zip(corpus.citing, corpus.cited):
+        if set(persons[citing]).isdisjoint(persons[cited]):
             continue
-        base_year = corpus.publications[edge.citing_id].year
+        base_year = years[citing]
         for _ in range(int(rng.poisson(rate))):
             rid, pid = fresh_ids()
             year = min(base_year + int(rng.integers(1, horizon_years + 1)), year_cap)
@@ -465,11 +477,12 @@ def apply_compounding(
                 author_ids=(rid,),
                 discipline=Discipline.OTHER,
             ))
-            new_edges.append(CitationEdge(citing_id=pid, cited_id=edge.cited_id))
+            new_cited.append(ids[cited])
 
-    return Corpus.from_parts(
+    return Corpus._from_columns(
         list(corpus.researchers.values()) + new_researchers,
         list(corpus.publications.values()) + new_publications,
-        list(corpus.edges) + new_edges,
+        [*map(ids.__getitem__, corpus.citing), *(p.pub_id for p in new_publications)],
+        [*map(ids.__getitem__, corpus.cited), *new_cited],
         corpus.provenance,
     )

@@ -169,7 +169,8 @@ def test_criterion_04_partition_and_classification(capsys):
                     assert tally.self + tally.external == tally.total
                     members = sum(
                         rid in corpus.publications[edge.citing_id].author_ids
-                        for edge in corpus.incoming_edges.get(pid, ())
+                        for edge in corpus.edges
+                        if edge.cited_id == pid
                     )
                     assert tally.self == members
         assert time.monotonic() - start < 10.0

@@ -223,6 +223,13 @@ def test_load_rejects_invalid_json(tmp_path):
         load_profiles(path)
 
 
+def test_load_missing_file_is_not_found(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(FileNotFoundError) as excinfo:
+        load_profiles(path)
+    assert excinfo.value.filename == str(path)
+
+
 def test_load_rejects_non_utf8(tmp_path):
     path = tmp_path / "profiles.json"
     path.write_bytes(b"\xff\xfe")

@@ -26,6 +26,7 @@ from selfcite.cli import (
 from selfcite.calibration import Basis, load_profiles
 from selfcite.corpus import (
     CitationEdge,
+    Corpus,
     CorpusFormat,
     Discipline,
     MalformedRecord,
@@ -586,6 +587,37 @@ def test_histogram_cli_missing_reports(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scai", 3.0),  # above h_index 2
+        ("scai", -0.5),
+        ("h_index", 2.9),
+        ("h_index", True),
+        ("h_index_external", 3),
+        ("self_citations", 5),  # above total_citations 4
+        ("scr", 1.5),
+        ("scr", "0.5"),
+        ("inflation", "0.5"),
+    ],
+)
+def test_histogram_rejects_reports_analyze_cannot_write(tmp_path, capsys, field, value):
+    good = dict(
+        report_to_json(hist_report("A", 2, 2.0)), total_citations=4, self_citations=1, scr=0.25
+    )
+    reports_path = tmp_path / "reports.json"
+    reports_path.write_text(
+        json.dumps([good, dict(good, researcher_id="B", **{field: value})]), encoding="utf-8"
+    )
+    code = main(["histogram", str(reports_path), "--output", str(tmp_path / "h")])
+    assert code == EXIT_INPUT
+    record = last_stderr_record(capsys)
+    assert record["error"] == "MalformedRecord"
+    assert record["message"].startswith(f"{reports_path} report 1: ")
+    assert field in record["message"]
+    assert not (tmp_path / "h").exists()
+
+
 def test_histogram_cli_all_ineligible(tmp_path, capsys):
     reports_path = tmp_path / "reports.json"
     reports_path.write_text(
@@ -696,6 +728,25 @@ def test_synth_cli_non_utf8_spec(tmp_path, capsys):
     assert last_stderr_record(capsys)["error"] == "UnicodeDecodeError"
 
 
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("years.start", lambda spec: spec["years"].update(start=1000)),
+        ("seed", lambda spec: spec.update(seed=-1)),
+    ],
+)
+def test_synth_cli_spec_error_names_field(tmp_path, capsys, field, mutate):
+    spec = minimal_spec()
+    mutate(spec)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code = main(["synth", str(spec_path), "--output", str(tmp_path / "c.jsonl")])
+    assert code == EXIT_USAGE
+    record = last_stderr_record(capsys)
+    assert record["error"] == "InvalidSpec"
+    assert field in record["message"]
+
+
 def test_synth_cli_non_object_spec(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text("[]", encoding="utf-8")
@@ -717,6 +768,36 @@ def test_synth_cli_applies_compounding(tmp_path):
     plain = parse_corpus(out_base)
     assert len(grown.edges) > len(plain.edges)
     assert any(rid.startswith("CR") for rid in grown.researchers)
+
+
+def test_commands_build_no_edge_objects(tmp_path, monkeypatch):
+    """synth, calibrate and analyze walk the corpus's number columns. The
+    CitationEdge view is for library callers and stays off their path."""
+
+    def refuse(*args):
+        raise AssertionError("a command built CitationEdge objects")
+
+    monkeypatch.setattr(Corpus, "edges", property(refuse))
+    monkeypatch.setattr(CitationEdge, "__new__", refuse)
+    monkeypatch.setattr(CitationEdge, "_make", classmethod(refuse))
+    with pytest.raises(AssertionError):
+        parse_corpus(DATA / "two_papers_one_selfcite.jsonl").edges
+    with pytest.raises(AssertionError):
+        CitationEdge("P2", "P1")
+
+    spec = dict(read_json(DATA / "e2e_spec.json"), compounding_rate=3.0)
+    spec_path, corpus_path = tmp_path / "spec.json", tmp_path / "corpus.jsonl"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", str(spec_path), "--output", str(corpus_path)]) == EXIT_OK
+    for source in (corpus_path, DATA / "csv_bundle"):
+        for mode in ("focal", "any-overlap"):
+            out = tmp_path / f"{source.name}-{mode}"
+            profiles = f"{out}.json"
+            flags = ["--self-citation-mode", mode]
+            assert main(["calibrate", str(source), "--output", profiles, *flags]) == EXIT_OK
+            assert main(
+                ["analyze", str(source), "--output", str(out), *flags, "--profiles", profiles]
+            ) == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ import json
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from json.encoder import encode_basestring
 
 from selfcite.corpus import (
     CitationEdge,
@@ -405,8 +407,9 @@ def test_unknown_researcher_lookup():
 def test_indexes(researcher_mid_path):
     corpus = parse_corpus(researcher_mid_path)
     assert corpus.publications_by_author["M"] == ("M1", "M2", "M3", "M4")
-    incoming = corpus.incoming_edges["M4"]
-    assert [e.citing_id for e in incoming] == ["X2P1"]
+    offsets, citers = corpus.incoming_edges
+    ids, m4 = corpus.publication_ids, corpus.publication_numbers["M4"]
+    assert [ids[c] for c in citers[offsets[m4]:offsets[m4 + 1]]] == ["X2P1"]
     assert corpus.publications_by_author["X2"] == ("X2P1",)
 
 
@@ -421,7 +424,22 @@ def test_person_numbers_follow_sorted_ids():
     pubs = [simple_pub("P1", 2010, ["D", "A"]), simple_pub("P2", 2011, ["C", "B"])]
     corpus = make_corpus(researchers, pubs, [])
     assert list(corpus.person_numbers.items()) == [("A", 0), ("B", 1), ("C", 2), ("D", 1)]
-    assert corpus.publication_persons == {"P1": (1, 0), "P2": (2, 1)}
+    assert corpus.publication_persons == ((1, 0), (2, 1))  # P1, P2
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=small_corpora())
+def test_incoming_index_matches_edges(corpus):
+    """Numbers follow sorted ids, and the CSR index lists each
+    publication's citers, ascending, as the edges view has them."""
+    ids = corpus.publication_ids
+    assert list(ids) == sorted(corpus.publications)
+    assert corpus.publication_numbers == {pid: n for n, pid in enumerate(ids)}
+    offsets, citers = corpus.incoming_edges
+    assert len(offsets) == len(ids) + 1
+    for n, pid in enumerate(ids):
+        expected = sorted(e.citing_id for e in corpus.edges if e.cited_id == pid)
+        assert [ids[c] for c in citers[offsets[n]:offsets[n + 1]]] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,7 +454,8 @@ def test_person_numbers_match_person_key(corpus):
             same = numbers[a.researcher_id] == numbers[b.researcher_id]
             assert same == (person_key(a) == person_key(b))
     for pid, pub in corpus.publications.items():
-        assert corpus.publication_persons[pid] == tuple(map(numbers.get, pub.author_ids))
+        persons = corpus.publication_persons[corpus.publication_numbers[pid]]
+        assert persons == tuple(map(numbers.get, pub.author_ids))
 
 
 def test_orcid_canonical_in_both_formats(tmp_path):
@@ -623,6 +642,132 @@ def _decode_outcome(decode, line):
 def test_line_decoder_matches_json_loads(line):
     for text in (line, line.strip()):
         assert _decode_outcome(_decode_line, text) == _decode_outcome(json.loads, text)
+
+
+# Publication ids the citation lines below may name: plain ones, ones the
+# encoder escapes, and ones it writes as they are. Then ids no publication
+# has: empty, unknown, a lone surrogate.
+LINE_PUB_IDS = ["P1", "p-2", 'q"x', "b\\s", "t\tab", "\x7f", "\u00e9", "\u2028", "\U0001f600"]
+LINE_STRAY_IDS = ["", "Z", "\ud800"]
+
+
+def _escape_all(text):
+    """A JSON string with every UTF-16 code unit of ``text`` as a \\u escape."""
+    units = text.encode("utf-16-be", "surrogatepass")
+    return '"' + "".join(
+        f"\\u{int.from_bytes(units[i:i + 2], 'big'):04X}" for i in range(0, len(units), 2)
+    ) + '"'
+
+
+ID_ENCODINGS = {
+    "canonical": encode_basestring,
+    "ascii": json.dumps,
+    "escaped": _escape_all,
+    "raw": lambda text: f'"{text}"',  # raw controls, quotes and backslashes
+}
+EXTRA_MEMBERS = [
+    ("x", "1"), ("kind", '"citation"'), ("kind", '"cit\\u0061tion"'), ("citing", '"P1"'),
+    ("cited", '"p-2"'),
+]
+LINE_PADDING = [" ", "\t", "\r", "\ufeff", "\x0b", "\x1c", "\x85", "\u3000"]
+
+
+@st.composite
+def citation_lines(draw):
+    """A citation record in write_corpus's form, or with its ids escaped
+    or left raw, members reordered, added, repeated or missing, spaced
+    separators, padding around the line, or a blank line."""
+    def member(key):
+        text = draw(st.sampled_from(LINE_PUB_IDS + LINE_STRAY_IDS))
+        return key, draw(st.sampled_from(list(ID_ENCODINGS.values())))(text)
+
+    members = [("kind", '"citation"'), member("citing"), member("cited")]
+    if draw(st.booleans()):
+        members += draw(st.lists(st.sampled_from(EXTRA_MEMBERS), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        members = draw(st.permutations(members))
+    if draw(st.integers(0, 9)) == 0:
+        del members[draw(st.integers(0, len(members) - 1))]
+    separator, colon = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    line = "{" + separator.join(f'"{key}"{colon}{value}' for key, value in members) + "}"
+    if draw(st.booleans()):
+        line = draw(st.sampled_from(LINE_PADDING)) + line + draw(st.sampled_from(LINE_PADDING))
+    return "" if draw(st.integers(0, 19)) == 0 else line
+
+
+def _citation_header() -> bytes:
+    publications = [simple_pub(pid, 2000, ["R"]) for pid in LINE_PUB_IDS]
+    return serialize_corpus(make_corpus([simple_researcher("R")], publications, [])).encode()
+
+
+def _strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+
+
+def _reference_parse(data: bytes):
+    """The citation pairs of ``data``, or the first error as (class, message),
+    reading each line with json.loads and each edge in turn."""
+    pairs = []
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        where = f"<bytes> line {lineno}"
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            return MalformedRecord, f"{where}: invalid UTF-8 ({exc})"
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return MalformedRecord, f"{where}: invalid JSON ({exc.msg})"
+        if any("\ud800" <= ch <= "\udfff" for text in _strings(record) for ch in text):
+            reason = "string holds a lone surrogate (an unpaired \\u escape)"
+            return MalformedRecord, f"{where}: {reason}"
+        kind = record.get("kind")
+        if kind in ("researcher", "publication"):  # the header
+            continue
+        if kind != "citation":
+            return MalformedRecord, f"{where}: unknown record kind {kind!r}"
+        for key in ("citing", "cited"):
+            if not isinstance(record.get(key), str) or not record[key]:
+                return MalformedRecord, f"{where}: missing or empty string field {key!r}"
+        pairs.append((record["citing"], record["cited"]))
+    seen = set()
+    for citing, cited in pairs:
+        for pid, side in ((citing, "citing"), (cited, "cited")):
+            if pid not in LINE_PUB_IDS:
+                return DanglingReference, f"unresolved identifier {pid!r} ({side} side of citation)"
+        if citing == cited:
+            return MalformedRecord, f"publication {citing!r} cannot cite itself"
+        if (citing, cited) in seen:
+            return DuplicateId, "duplicate identifier " + repr(f"{citing}->{cited}")
+        seen.add((citing, cited))
+    return pairs
+
+
+def _parse_outcome(data: bytes):
+    try:
+        return [tuple(edge) for edge in parse_corpus(data).edges]
+    except (MalformedRecord, DanglingReference, DuplicateId) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(citation_lines(), max_size=8))
+@example(lines=['{"kind":"citation","citing":"t\tab","cited":"P1"}'])  # raw tab: invalid JSON
+@example(lines=['{"kind":"citation","citing":"\\u00e9","cited":"P1"}'])  # an escape
+@example(lines=['{"kind":"citation","citing":"P1","cited":"p-2"}'] * 2)
+def test_citation_pattern_matches_json_loads(lines):
+    """parse_corpus, whose canonical citation lines skip the JSON decoder,
+    gives the edges, in order, or the error, message and line, that
+    json.loads line by line gives."""
+    data = _citation_header() + "\n".join(lines).encode("utf-8", "surrogatepass")
+    assert _parse_outcome(data) == _reference_parse(data)
 
 
 def _assert_ids_shared(corpus):
