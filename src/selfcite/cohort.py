@@ -14,11 +14,17 @@ mid-career, over 20 is senior.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 from enum import Enum
 from typing import Optional, Sequence
 
-from .corpus import Corpus, Discipline, Gender, derive_first_pub_year
+from .corpus import (
+    Corpus,
+    Discipline,
+    Gender,
+    Researcher,
+    UnknownResearcher,
+    derive_first_pub_year,
+)
 from .metrics import MetricsReport
 
 
@@ -104,17 +110,32 @@ def group_value(
     dimension: Dimension,
     reference_year: Optional[int] = None,
 ) -> GroupValue:
-    """The researcher's group along a dimension; None when unknowable."""
-    researcher = corpus.researcher(researcher_id)
+    """The researcher's group along a dimension; None when unknowable.
+
+    Career stage needs ``reference_year``: it is never read from the clock.
+    """
+    return _group_of(corpus.researcher(researcher_id), corpus, dimension, reference_year)
+
+
+def _group_of(
+    researcher: Researcher,
+    corpus: Corpus,
+    dimension: Dimension,
+    reference_year: Optional[int],
+) -> GroupValue:
+    """The rule behind :func:`group_value`, for a record already looked up."""
     if dimension is Dimension.DISCIPLINE:
         return researcher.discipline
     if dimension is Dimension.GENDER:
         return None if researcher.gender is Gender.UNREPORTED else researcher.gender
-    first = derive_first_pub_year(corpus, researcher_id)
+    if reference_year is None:
+        raise ValueError("career stage needs a reference_year")
+    first = researcher.first_pub_year
     if first is None:
-        return None
-    ref = reference_year if reference_year is not None else date.today().year
-    return career_stage(first, ref)
+        first = derive_first_pub_year(corpus, researcher.researcher_id)
+        if first is None:
+            return None
+    return career_stage(first, reference_year)
 
 
 _GROUP_ORDER: dict[Dimension, tuple] = {
@@ -138,9 +159,14 @@ def cohort_aggregate(
     """
     if not reports:
         raise EmptyInput("no reports to aggregate")
+    researchers = corpus.researchers
     buckets: dict[GroupValue, list[MetricsReport]] = {}
     for report in reports:
-        value = group_value(corpus, report.researcher_id, dimension, reference_year)
+        try:
+            researcher = researchers[report.researcher_id]
+        except KeyError:
+            raise UnknownResearcher(report.researcher_id) from None
+        value = _group_of(researcher, corpus, dimension, reference_year)
         buckets.setdefault(value, []).append(report)
 
     ordered: list[GroupValue] = [

@@ -327,10 +327,11 @@ class Corpus:
     def publications_by_author(self) -> dict[str, tuple[str, ...]]:
         """Researcher id -> that researcher's publication ids, sorted."""
         index: dict[str, list[str]] = {rid: [] for rid in self.researchers}
-        for pub in self.publications.values():
-            for author_id in pub.author_ids:
-                index[author_id].append(pub.pub_id)
-        return {rid: tuple(sorted(pids)) for rid, pids in index.items()}
+        publications = self.publications
+        for pid in self.publication_ids:  # in sorted order, so each list is too
+            for author_id in publications[pid].author_ids:
+                index[author_id].append(pid)
+        return {rid: tuple(pids) for rid, pids in index.items()}
 
     @cached_property
     def publication_years(self) -> array:
@@ -405,24 +406,29 @@ def _raise_first_edge_fault(numbers, citing_ids, cited_ids) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Field value -> member, for both record readers: a dict lookup, not an
+# Enum call per record
+_DISCIPLINES = {d.value: d for d in Discipline}
+_GENDERS = {None: Gender.UNREPORTED, "": Gender.UNREPORTED, **{g.value: g for g in Gender}}
+
+
 def _parse_discipline(value: object, location: str) -> Discipline:
-    try:
-        return Discipline(value)
-    except ValueError:
-        known = ", ".join(d.value for d in Discipline)
+    discipline = _DISCIPLINES.get(value) if isinstance(value, str) else None
+    if discipline is None:
+        known = ", ".join(_DISCIPLINES)
         raise MalformedRecord(
             f"unknown discipline {value!r} (expected one of: {known})", location
-        ) from None
+        )
+    return discipline
 
 
 def _parse_gender(value: object, location: str) -> Gender:
-    if value is None or value == "":
-        return Gender.UNREPORTED
-    if value in ("male", "female", "unreported"):
-        return Gender(value)
-    raise MalformedRecord(
-        f"gender must be \"male\", \"female\" or null, got {value!r}", location
-    )
+    gender = _GENDERS.get(value) if value is None or isinstance(value, str) else None
+    if gender is None:
+        raise MalformedRecord(
+            f"gender must be \"male\", \"female\" or null, got {value!r}", location
+        )
+    return gender
 
 
 def _require_str(record: dict, key: str, location: str) -> str:
@@ -560,6 +566,10 @@ def _open_lines(source) -> tuple[io.BytesIO, str, bool]:
     raise TypeError(f"cannot read corpus from {type(source).__name__}")
 
 
+# The whitespace JSON allows around a value. str.strip would also remove
+# U+00A0, U+2028, U+001C and the like, which json.loads rejects.
+_JSON_WHITESPACE = " \t\r\n"
+
 # The scanner json.loads runs (the C one where the build has it), without
 # the wrapper around it. It keeps no state between calls.
 _scan_json = make_scanner(json.JSONDecoder())
@@ -580,12 +590,27 @@ def _decode_line(line: str):
     return value if end == len(line) else json.loads(line)
 
 
-# A citation line exactly as write_corpus writes it, for ids holding no
-# quote, backslash or control character: the ids are the JSON string
-# contents unchanged, so the line decodes to what json.loads would give.
-# Every other line goes through the JSON decoder.
+# Record lines exactly as write_corpus writes them, for strings holding no
+# quote, backslash or control character: such a string's JSON text is its
+# contents unchanged, so each group is what json.loads would give. A list
+# of them is split on '","'. Integers follow the JSON grammar, and a
+# discipline or gender must be one the decoder path accepts. Every other
+# line goes through the JSON decoder.
+_STR = r'[^"\\\x00-\x1f]+'
+_INT = r"-?(?:0|[1-9][0-9]*)"
 _CITATION_LINE = re.compile(
-    r'\{"kind":"citation","citing":"([^"\\\x00-\x1f]+)","cited":"([^"\\\x00-\x1f]+)"\}\n?'
+    rf'\{{"kind":"citation","citing":"({_STR})","cited":"({_STR})"\}}\n?'
+)
+_DISCIPLINE = "|".join(map(re.escape, _DISCIPLINES))
+_RESEARCHER_LINE = re.compile(
+    rf'\{{"kind":"researcher","id":"({_STR})","names":\["({_STR}(?:","{_STR})*)"\],'
+    rf'"orcid":(?:null|"({_STR})"),"gender":(?:null|"(male|female)"),'
+    rf'"discipline":"({_DISCIPLINE})","first_pub_year":(?:null|({_INT}))\}}\n?'
+)
+_PUBLICATION_LINE = re.compile(
+    rf'\{{"kind":"publication","id":"({_STR})","title":"({_STR})","year":({_INT}),'
+    rf'"authors":\["({_STR}(?:","{_STR})*)"\],"discipline":"({_DISCIPLINE})"'
+    rf'(?:,"citation_count":({_INT}))?\}}\n?'
 )
 
 
@@ -602,8 +627,12 @@ def _parse_jsonl(source) -> Corpus:
     share = ids.setdefault
     decode = _decode_line
     citation_line = _CITATION_LINE.fullmatch
+    researcher_line = _RESEARCHER_LINE.fullmatch
+    publication_line = _PUBLICATION_LINE.fullmatch
     add_citing = citing.append
     add_cited = cited.append
+    disciplines = _DISCIPLINES
+    genders = _GENDERS
     try:
         for lineno, line in enumerate(stream, start=1):
             try:
@@ -612,13 +641,38 @@ def _parse_jsonl(source) -> Corpus:
                 raise MalformedRecord(
                     f"invalid UTF-8 ({exc})", f"{label} line {lineno}"
                 ) from None
-            citation = citation_line(line)
-            if citation is not None:
-                c, d = citation.groups()
+            match = citation_line(line)
+            if match is not None:
+                c, d = match.groups()
                 add_citing(share(c, c))
                 add_cited(share(d, d))
                 continue
-            line = line.strip()
+            match = publication_line(line)
+            if match is not None:
+                pid, title, year, authors, discipline, count = match.groups()
+                authors = authors.split('","')
+                publications.append(Publication(
+                    share(pid, pid),
+                    title,
+                    int(year),
+                    tuple(map(share, authors, authors)),
+                    disciplines[discipline],
+                    None if count is None else int(count),
+                ))
+                continue
+            match = researcher_line(line)
+            if match is not None:
+                rid, names, orcid, gender, discipline, first = match.groups()
+                researchers.append(Researcher(
+                    share(rid, rid),
+                    tuple(names.split('","')),
+                    None if orcid is None else _canonical_orcid(orcid),
+                    genders[gender],
+                    None if first is None else int(first),
+                    disciplines[discipline],
+                ))
+                continue
+            line = line.strip(_JSON_WHITESPACE)
             if not line:
                 continue
             try:

@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
+from operator import sub
 from typing import Optional, Sequence
 
 from .corpus import Corpus, json_int, json_number
-from .identity import CitationCounts, SelfCitationMode, count_citations
+from .identity import CitationCounts, SelfCitationMode, _tally
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 0.1
@@ -152,29 +153,43 @@ def compute_report(
     ``yearly_scr`` maps each calendar year in which the researcher was
     cited to the self-citation ratio of that year's citations.
     """
-    counts = count_citations(corpus, focal, mode)
-    return report_from_counts(counts, params)
+    return _assemble(focal, *_tally(corpus, focal, mode), params)
 
 
 def report_from_counts(
     counts: CitationCounts, params: MetricParams = MetricParams()
 ) -> MetricsReport:
     """Assemble a report from precomputed citation tallies."""
-    totals = [t.total for t in counts.per_publication.values()]
-    self_counts = [t.self for t in counts.per_publication.values()]
-    externals = [t.external for t in counts.per_publication.values()]
+    tallies = counts.per_publication.values()
+    return _assemble(
+        counts.focal_researcher,
+        [t.total for t in tallies],
+        [t.self for t in tallies],
+        {year: (t.total, t.self) for year, t in counts.per_year.items()},
+        params,
+    )
 
+
+def _assemble(
+    focal: str,
+    totals: list[int],
+    selves: list[int],
+    years: dict[int, Sequence[int]],
+    params: MetricParams,
+) -> MetricsReport:
+    """A report from per-publication total and self counts and citing
+    year -> (total, self)."""
     h_all = compute_h_index(totals)
-    h_ext = compute_h_index(externals)
     total = sum(totals)
-    self_total = sum(self_counts)
+    self_total = sum(selves)
+    if self_total:
+        h_ext = compute_h_index(list(map(sub, totals, selves)))
+        s_index = compute_s_index(selves)
+    else:  # every external count is its total, every self count 0
+        h_ext, s_index = h_all, 0
     scr = compute_scr(self_total, total)
-    yearly = {
-        year: compute_scr(tally.self, tally.total)
-        for year, tally in counts.per_year.items()
-    }
     return MetricsReport(
-        researcher_id=counts.focal_researcher,
+        researcher_id=focal,
         h_index=h_all,
         h_index_external=h_ext,
         i10_index=compute_i10(totals),
@@ -182,9 +197,12 @@ def report_from_counts(
         self_citations=self_total,
         scr=scr,
         scai=compute_scai(h_all, scr, params),
-        s_index=compute_s_index(self_counts),
+        s_index=s_index,
         inflation=compute_inflation(h_all, h_ext),
-        yearly_scr=yearly,
+        yearly_scr={
+            year: compute_scr(year_self, year_total)
+            for year, (year_total, year_self) in sorted(years.items())
+        },
     )
 
 

@@ -1,5 +1,7 @@
 import argparse
+import dataclasses
 import importlib
+import io
 import inspect
 import json
 import os
@@ -29,6 +31,7 @@ from selfcite.corpus import (
     Corpus,
     CorpusFormat,
     Discipline,
+    Gender,
     MalformedRecord,
     parse_corpus,
     write_corpus,
@@ -798,6 +801,66 @@ def test_commands_build_no_edge_objects(tmp_path, monkeypatch):
             assert main(
                 ["analyze", str(source), "--output", str(out), *flags, "--profiles", profiles]
             ) == EXIT_OK
+
+
+def test_written_corpora_never_reach_the_decoder(tmp_path, monkeypatch):
+    """Every line write_corpus writes matches a record-line pattern, so a
+    change to the writer's key order or spacing that sends lines back to the
+    JSON decoder fails here."""
+    import selfcite.corpus
+
+    spec = dict(read_json(DATA / "e2e_spec.json"), compounding_rate=3.0)
+    spec_path, synth_path = tmp_path / "spec.json", tmp_path / "synth.jsonl"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", str(spec_path), "--output", str(synth_path)]) == EXIT_OK
+
+    # the same corpus with ORCIDs (some shared), genders, several names,
+    # several authors and source citation counts
+    corpus = parse_corpus(synth_path)
+    rids = sorted(corpus.researchers)
+    researchers = [
+        dataclasses.replace(
+            corpus.researchers[rid],
+            name_variants=(f"Name {i}", f"N. {i}")[: 1 + i % 2],
+            orcid=f"0000-0000-0000-{i // 3:04d}" if i % 4 else None,
+            gender=(Gender.MALE, Gender.FEMALE, Gender.UNREPORTED)[i % 3],
+            first_pub_year=(None, 1990)[i % 2],
+        )
+        for i, rid in enumerate(rids)
+    ]
+    publications = []
+    for i, pid in enumerate(corpus.publication_ids):
+        pub = corpus.publications[pid]
+        other = rids[(rids.index(pub.author_ids[0]) + 1) % len(rids)]
+        extra = (other,) if i % 2 and other not in pub.author_ids else ()
+        publications.append(dataclasses.replace(
+            pub, author_ids=pub.author_ids + extra, source_citation_count=(None, i)[i % 2]
+        ))
+    ids = corpus.publication_ids
+    rich = Corpus.from_parts(
+        researchers,
+        publications,
+        [CitationEdge(ids[c], ids[d]) for c, d in zip(corpus.citing, corpus.cited)],
+        corpus.provenance,
+    )
+    rich_path = tmp_path / "rich.jsonl"
+    write_corpus(rich, rich_path)
+
+    def refuse(line):
+        raise AssertionError(f"a written line reached the JSON decoder: {line}")
+
+    monkeypatch.setattr(selfcite.corpus, "_decode_line", refuse)
+    with pytest.raises(AssertionError):  # the patch is in force
+        parse_corpus(io.StringIO('{"kind": "citation"}'))
+    for source in (synth_path, rich_path):
+        for mode in ("focal", "any-overlap"):
+            out = tmp_path / f"{source.stem}-{mode}"
+            flags = ["--self-citation-mode", mode]
+            assert main(["calibrate", str(source), "--output", f"{out}.json", *flags]) == EXIT_OK
+            assert main(
+                ["analyze", str(source), "--output", str(out), *flags, "--reference-year", "2024"]
+            ) == EXIT_OK
+    assert parse_corpus(rich_path).researchers == rich.researchers
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from selfcite import cohort
 from selfcite.cohort import (
     CareerStage,
     CohortKey,
@@ -17,7 +18,7 @@ from selfcite.cohort import (
     group_value,
     summaries_to_csv,
 )
-from selfcite.corpus import Discipline, Gender
+from selfcite.corpus import Discipline, Gender, UnknownResearcher
 from selfcite.metrics import MetricParams, MetricsReport, compute_scai
 
 from conftest import make_corpus, simple_pub, simple_researcher
@@ -90,6 +91,37 @@ def test_gender_group_value_unreported_is_none():
     ])
     assert group_value(corpus, "A", Dimension.GENDER) is Gender.FEMALE
     assert group_value(corpus, "B", Dimension.GENDER) is None
+
+
+def test_career_stage_never_reads_the_clock(monkeypatch):
+    class Clock:
+        @staticmethod
+        def today():
+            raise AssertionError("career stage read the clock")
+
+    monkeypatch.setattr(cohort, "date", Clock, raising=False)
+    corpus = one_pub_corpus([
+        simple_researcher("A", first_pub_year=2000, gender=Gender.MALE),
+        simple_researcher("B"),  # no first year: derived from B-P
+    ])
+    reports = [report("A"), report("B")]
+    for rid in ("A", "B"):
+        with pytest.raises(ValueError, match="reference_year"):
+            group_value(corpus, rid, Dimension.CAREER_STAGE)
+    with pytest.raises(ValueError, match="reference_year"):
+        cohort_aggregate(reports, corpus, Dimension.CAREER_STAGE)
+    assert group_value(corpus, "B", Dimension.CAREER_STAGE, 2024) is CareerStage.EARLY
+    assert group_value(corpus, "A", Dimension.DISCIPLINE) is Discipline.COMPUTER_SCIENCE
+    assert group_value(corpus, "A", Dimension.GENDER) is Gender.MALE
+    for dimension in (Dimension.DISCIPLINE, Dimension.GENDER):
+        assert sum(s.n for s in cohort_aggregate(reports, corpus, dimension)) == 2
+
+
+def test_aggregate_rejects_a_report_of_an_unknown_researcher():
+    corpus = one_pub_corpus([simple_researcher("A")])
+    for dimension in Dimension:
+        with pytest.raises(UnknownResearcher):
+            cohort_aggregate([report("A"), report("ghost")], corpus, dimension, 2024)
 
 
 # ---------------------------------------------------------------------------

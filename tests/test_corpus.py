@@ -26,6 +26,8 @@ from selfcite.corpus import (
     WarningCode,
     _decode_line,
     _encode_compact,
+    _publication_from_json,
+    _researcher_from_json,
     derive_first_pub_year,
     max_valid_year,
     parse_corpus,
@@ -211,6 +213,32 @@ def test_blank_lines_skipped_and_unknown_keys_ignored():
     corpus = parse_corpus(io.StringIO(text))
     assert set(corpus.researchers) == {"R"}
     assert set(corpus.publications) == {"P"}
+
+
+def researcher_line(rid):
+    return (
+        f'{{"kind":"researcher","id":"{rid}","names":["N N"],"orcid":null,'
+        '"gender":null,"discipline":"Other","first_pub_year":null}'
+    )
+
+
+@pytest.mark.parametrize(
+    "padding", [" ", "\t", "\r", " \t\r", "\xa0", "\u2028", "\x1c", "\x0b", "\x0c", "\x85", "\u3000"]
+)
+@pytest.mark.parametrize("blank", [False, True])
+def test_only_json_whitespace_pads_a_line(padding, blank):
+    """A blank line holds only JSON whitespace (space, tab, CR, LF), and
+    only that may surround a record. Other Unicode whitespace on a line is
+    a JSON error, as json.loads has it."""
+    line = padding if blank else padding + researcher_line("R") + padding
+    source = io.StringIO(f"{researcher_line('Q')}\n{line}\n")
+    if padding.strip(" \t\r"):
+        with pytest.raises(MalformedRecord) as err:
+            parse_corpus(source)
+        assert err.value.location == "<stream> line 2"
+        assert err.value.reason.startswith("invalid JSON (")
+    else:
+        assert set(parse_corpus(source).researchers) == ({"Q"} if blank else {"Q", "R"})
 
 
 def test_invalid_json_line_reports_location():
@@ -716,7 +744,7 @@ def _reference_parse(data: bytes):
     for lineno, raw in enumerate(io.BytesIO(data), start=1):
         where = f"<bytes> line {lineno}"
         try:
-            line = raw.decode("utf-8").strip()
+            line = raw.decode("utf-8").strip(" \t\r\n")  # JSON's whitespace
         except UnicodeDecodeError as exc:
             return MalformedRecord, f"{where}: invalid UTF-8 ({exc})"
         if not line:
@@ -768,6 +796,149 @@ def test_citation_pattern_matches_json_loads(lines):
     json.loads line by line gives."""
     data = _citation_header() + "\n".join(lines).encode("utf-8", "surrogatepass")
     assert _parse_outcome(data) == _reference_parse(data)
+
+
+# Researcher and publication lines: write_corpus's form, or with strings
+# escaped or raw, values the record rules refuse or that only the decoder
+# reads, members reordered, added, repeated or missing, spaced separators,
+# padding, or blank lines.
+RECORD_IDS = ["R1", "r 2", 'q"x', "b\\s", "\u00e9", "\U0001f600"]
+RECORD_PUB_IDS = ["P1", "p 2", "t\tab", "\u2028"]
+RECORD_NAMES = ["Ann Lee", "Lee, Ann", 'A "B" C', "back\\slash", "ctl\x01", "\u00e9 \u00fc"]
+RECORD_ORCIDS = ["0000-0002-1825-0097", " 0000-0001 ", "https://orcid.org/0000-0001", "", "  "]
+VALID_INTS = ["1990", "2024"]
+ODD_INTS = ["null", "-5", "-0", "0", "007", "1990.0", "1e3", "true", '"1990"', "-01"]
+
+
+@st.composite
+def record_lines(draw):
+    # one odd draw in `noise` on average; none at all in half the examples,
+    # so that many of them hold a valid corpus
+    noise = draw(st.sampled_from([0, 0, 30, 8]))
+
+    def odd():
+        return noise > 0 and draw(st.integers(1, noise)) == 1
+
+    def string(text):
+        encode = ID_ENCODINGS["canonical"] if not odd() else draw(
+            st.sampled_from(list(ID_ENCODINGS.values()))
+        )
+        return encode(text)
+
+    def string_list(pool, unique, odd_lists):
+        if odd():
+            return draw(st.sampled_from(["[]", '[""]', "null", '"Ann"', "[1]", *odd_lists]))
+        entries = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=unique))
+        return "[" + ",".join(map(string, entries)) + "]"
+
+    def choice(valid, others):
+        return draw(st.sampled_from(others if odd() else valid))
+
+    def line(members):
+        if odd():
+            members += draw(st.lists(st.sampled_from(
+                [("x", "1"), ("kind", '"researcher"'), ("id", '"R1"'), ("year", "2000"),
+                 ("names", '["N"]'), ("citation_count", "2")]
+            ), min_size=1, max_size=2))
+        if odd():
+            members = draw(st.permutations(members))
+        if odd():
+            del members[draw(st.integers(0, len(members) - 1))]
+        separator, colon = (", ", ": ") if odd() else (",", ":")
+        text = "{" + separator.join(f'"{key}"{colon}{value}' for key, value in members) + "}"
+        if odd():
+            text = draw(st.sampled_from(LINE_PADDING)) + text + draw(st.sampled_from(LINE_PADDING))
+        return text
+
+    disciplines = [string(d.value) for d in Discipline]
+    rids = draw(st.lists(st.sampled_from(RECORD_IDS), min_size=1, max_size=4, unique=True))
+    lines = [
+        line([
+            ("kind", '"researcher"'),
+            ("id", string(rid)),
+            ("names", string_list(RECORD_NAMES, False, ['["  "]', '["N","\\t"]'])),
+            ("orcid", "null" if draw(st.booleans()) else string(choice(RECORD_ORCIDS[:1], RECORD_ORCIDS))),
+            ("gender", choice(["null", '"male"', '"female"'], ['"unreported"', '"other"', '""', "1"])),
+            ("discipline", choice(disciplines, ['"Alchemy"', "null", '"other"'])),
+            ("first_pub_year", choice(["null", *VALID_INTS], ODD_INTS)),
+        ])
+        for rid in rids
+    ]
+    for pid in draw(st.lists(st.sampled_from(RECORD_PUB_IDS), max_size=4, unique=True)):
+        members = [
+            ("kind", '"publication"'),
+            ("id", string(pid)),
+            ("title", string(choice(["A title", 'Say "hi"', "\u00e9t\u00e9"], ["", "\x00"]))),
+            ("year", choice(VALID_INTS, ODD_INTS)),
+            ("authors", string_list(rids, True, [f"[{string(rids[0])},{string(rids[0])}]", '["Z"]'])),
+            ("discipline", choice(disciplines, ['"Alchemy"', "null"])),
+        ]
+        if draw(st.booleans()):
+            members.append(("citation_count", choice(["0", "3", "12"], ODD_INTS)))
+        lines.append(line(members))
+    if odd():
+        lines = draw(st.permutations(lines))
+    if odd():
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " \t", "\xa0"])))
+    return lines
+
+
+def _reference_records(data: bytes):
+    """The records of ``data`` in input order, or the first error as (class,
+    message): each line read with json.loads, then the decoder path's record
+    builders and the corpus check."""
+    researchers, publications, ids = [], [], {}
+    try:
+        for lineno, raw in enumerate(io.BytesIO(data), start=1):
+            where = f"<bytes> line {lineno}"
+            line = raw.decode("utf-8").strip(" \t\r\n")
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(f"invalid JSON ({exc.msg})", where) from None
+            if not isinstance(record, dict):
+                raise MalformedRecord("record must be a JSON object", where)
+            kind = record.get("kind")
+            if kind == "researcher":
+                researchers.append(_researcher_from_json(record, where, ids))
+            elif kind == "publication":
+                publications.append(_publication_from_json(record, where, ids))
+            else:
+                raise MalformedRecord(f"unknown record kind {kind!r}", where)
+        make_corpus(researchers, publications, [])
+    except (MalformedRecord, DanglingReference, DuplicateId) as exc:
+        return type(exc), str(exc)
+    return researchers, publications
+
+
+def _parsed_records(data: bytes):
+    try:
+        corpus = parse_corpus(data)
+    except (MalformedRecord, DanglingReference, DuplicateId) as exc:
+        return type(exc), str(exc)
+    return list(corpus.researchers.values()), list(corpus.publications.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=record_lines())
+@example(lines=[  # an escaped backslash: the pattern's strings hold none
+    '{"kind":"researcher","id":"b\\\\s","names":["N"],"orcid":null,"gender":null,'
+    '"discipline":"Other","first_pub_year":null}'
+])
+@example(lines=[
+    '{"kind":"researcher","id":"R1","names":["A","B"],"orcid":"https://orcid.org/1",'
+    '"gender":"female","discipline":"Other","first_pub_year":1990}',
+    '{"kind":"publication","id":"P1","title":"T","year":2000,"authors":["R1"],'
+    '"discipline":"Other","citation_count":3}',
+])
+def test_record_patterns_match_json_loads(lines):
+    """parse_corpus, whose canonical researcher and publication lines skip
+    the JSON decoder, gives the records, in order, or the error, message
+    and line, that json.loads line by line gives."""
+    data = "\n".join(lines).encode("utf-8")
+    assert _parsed_records(data) == _reference_records(data)
 
 
 def _assert_ids_shared(corpus):

@@ -9,6 +9,18 @@ from selfcite.corpus import (
     person_key,
 )
 from selfcite.identity import SelfCitationMode, Tally, count_citations
+from selfcite.metrics import (
+    MetricParams,
+    MetricsReport,
+    compute_h_index,
+    compute_i10,
+    compute_inflation,
+    compute_report,
+    compute_s_index,
+    compute_scai,
+    compute_scr,
+    report_from_counts,
+)
 
 from conftest import make_corpus, simple_pub, simple_researcher, small_corpora
 from reference import is_self_citation, one_person
@@ -253,3 +265,40 @@ def test_count_citations_matches_per_edge_classification(corpus):
             assert list(counts.per_publication.items()) == list(per_publication.items())
             assert list(counts.per_year.items()) == list(per_year.items())
             assert counts.focal_researcher == rid
+
+
+def reference_report(corpus, focal, params, mode):
+    """A report from the per-edge tallies, every metric computed in full."""
+    per_publication, per_year = reference_counts(corpus, focal, mode)
+    totals = [t.total for t in per_publication.values()]
+    selves = [t.self for t in per_publication.values()]
+    h = compute_h_index(totals)
+    h_external = compute_h_index([t.external for t in per_publication.values()])
+    total, self_total = sum(totals), sum(selves)
+    scr = compute_scr(self_total, total)
+    return MetricsReport(
+        researcher_id=focal,
+        h_index=h,
+        h_index_external=h_external,
+        i10_index=compute_i10(totals),
+        total_citations=total,
+        self_citations=self_total,
+        scr=scr,
+        scai=compute_scai(h, scr, params),
+        s_index=compute_s_index(selves),
+        inflation=compute_inflation(h, h_external),
+        yearly_scr={year: compute_scr(t.self, t.total) for year, t in per_year.items()},
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus=small_corpora(orcids=True))
+def test_reports_match_per_edge_reference(corpus):
+    """compute_report and report_from_counts(count_citations(...)) share one
+    counting loop and one assembly; both equal a report built edge by edge."""
+    params = MetricParams(alpha=0.7, beta=0.05)
+    for rid in corpus.researchers:
+        for mode in SelfCitationMode:
+            expected = reference_report(corpus, rid, params, mode)
+            assert compute_report(corpus, rid, params, mode) == expected
+            assert report_from_counts(count_citations(corpus, rid, mode), params) == expected
