@@ -38,6 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from array import array
 from bisect import bisect_left
@@ -794,49 +795,45 @@ def _parse_csv_bundle(source) -> Corpus:
 # ---------------------------------------------------------------------------
 
 
-def _researcher_to_json(r: Researcher) -> dict:
-    return {
-        "kind": "researcher",
-        "id": r.researcher_id,
-        "names": list(r.name_variants),
-        "orcid": r.orcid,
-        "gender": None if r.gender is Gender.UNREPORTED else r.gender.value,
-        "discipline": r.discipline.value,
-        "first_pub_year": r.first_pub_year,
-    }
-
-
-def _publication_to_json(p: Publication) -> dict:
-    record = {
-        "kind": "publication",
-        "id": p.pub_id,
-        "title": p.title,
-        "year": p.year,
-        "authors": list(p.author_ids),
-        "discipline": p.discipline.value,
-    }
-    if p.source_citation_count is not None:
-        record["citation_count"] = p.source_citation_count
-    return record
-
-
 # json.dumps(record, ensure_ascii=False, separators=(",", ":")) without
 # building an encoder per record
 _encode_compact = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def _jsonl_lines(corpus: Corpus) -> Iterator[str]:
-    """The canonical JSONL lines of a corpus, each ending in a newline."""
+    """The canonical JSONL lines of a corpus, each ending in a newline.
+
+    Each line is ``_encode_compact`` of its record, keys in the order the
+    module docstring gives: the same bytes, written by pattern, with every
+    string quoted by the function that encoder uses.
+    """
     if not corpus.researchers:  # so no publications and no citations either
         yield "\n"
         return
-    for rid in sorted(corpus.researchers):
-        yield _encode_compact(_researcher_to_json(corpus.researchers[rid])) + "\n"
-    for pid in sorted(corpus.publications):
-        yield _encode_compact(_publication_to_json(corpus.publications[pid])) + "\n"
-    # _encode_compact's bytes for {"kind": "citation", "citing": c, "cited": d},
-    # quoting each id with the function that encoder uses
-    quoted = list(map(encode_basestring, corpus.publication_ids))
+    quote = encode_basestring
+    researchers = corpus.researchers
+    for rid in sorted(researchers):
+        r = researchers[rid]
+        orcid = "null" if r.orcid is None else quote(r.orcid)
+        gender = "null" if r.gender is Gender.UNREPORTED else quote(r.gender.value)
+        first = "null" if r.first_pub_year is None else r.first_pub_year
+        yield (
+            f'{{"kind":"researcher","id":{quote(rid)},'
+            f'"names":[{",".join(map(quote, r.name_variants))}],"orcid":{orcid},'
+            f'"gender":{gender},"discipline":{quote(r.discipline.value)},'
+            f'"first_pub_year":{first}}}\n'
+        )
+    publications = corpus.publications
+    quoted = list(map(quote, corpus.publication_ids))
+    for pid, quoted_pid in zip(corpus.publication_ids, quoted):
+        p = publications[pid]
+        count = p.source_citation_count
+        tail = "" if count is None else f',"citation_count":{count}'
+        yield (
+            f'{{"kind":"publication","id":{quoted_pid},"title":{quote(p.title)},'
+            f'"year":{p.year},"authors":[{",".join(map(quote, p.author_ids))}],'
+            f'"discipline":{quote(p.discipline.value)}{tail}}}\n'
+        )
     for citing, cited in corpus.sorted_citations():
         yield f'{{"kind":"citation","citing":{quoted[citing]},"cited":{quoted[cited]}}}\n'
 
@@ -851,9 +848,24 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    """Write :func:`serialize_corpus`'s text line by line, never all at once."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_jsonl_lines(corpus))
+    """Write :func:`serialize_corpus`'s text line by line, never all at once.
+
+    The lines go to a new file beside ``path`` that replaces ``path`` only
+    when complete. On failure it is removed, and ``path`` keeps what it held.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.partial")
+    fh = partial.open("x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(_jsonl_lines(corpus))
+        try:
+            os.replace(partial, path)
+        except OSError as exc:  # name the output, not the partial file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, cycle, repeat
+from operator import not_
 from typing import Optional
 
 import numpy as np
@@ -200,85 +202,32 @@ class _CiterBundle:
     pub_id: str
     year: int
     slots_left: int
-    targets: set[str]
+    # The work this bundle cited last. A work's external citations are all
+    # drawn in one uninterrupted run, and no other work is cited during it,
+    # so within that run a bundle has cited the work if and only if it is
+    # the bundle's last target: comparing with it keeps edges unique.
+    last: str
 
 
-class _Builder:
-    def __init__(self, spec: GeneratorSpec):
-        self.spec = spec
-        self.rng = np.random.default_rng(spec.seed)
-        self.researchers: list[Researcher] = []
-        self.by_id: dict[str, Researcher] = {}
-        self.publications: list[Publication] = []
-        # citation i is citing[i] citing cited[i]
-        self.citing: list[str] = []
-        self.cited: list[str] = []
-        # researcher id -> open citing bundles in creation order; a bundle
-        # leaves the list when its last slot is taken
-        self.bundles: dict[str, list[_CiterBundle]] = {}
-        self.citer_serial = 0
+def _draw_scr(rng: np.random.Generator, target: float) -> float:
+    if target <= 0.0:
+        return 0.0
+    if target >= 1.0:
+        return 1.0
+    a = target * SCR_CONCENTRATION
+    b = (1.0 - target) * SCR_CONCENTRATION
+    return float(rng.beta(a, b))
 
-    def add_researcher(self, researcher: Researcher) -> None:
-        self.researchers.append(researcher)
-        self.by_id[researcher.researcher_id] = researcher
 
-    def draw_scr(self, target: float) -> float:
-        if target <= 0.0:
-            return 0.0
-        if target >= 1.0:
-            return 1.0
-        a = target * SCR_CONCENTRATION
-        b = (1.0 - target) * SCR_CONCENTRATION
-        return float(self.rng.beta(a, b))
-
-    def draw_first_year(self, stage: Optional[CareerStage]) -> int:
-        years = self.spec.years
-        span = years.end - years.start
-        if stage is None:
-            return int(self.rng.integers(years.start, years.end + 1))
-        lo, hi = _STAGE_OFFSETS[stage]
-        offset = int(self.rng.integers(lo, min(hi, span) + 1))
-        return years.end - offset
-
-    def new_citing_slot(self, citer_id: str, min_year: int, target_pub: str) -> str:
-        """A publication of ``citer_id`` able to cite ``target_pub``.
-
-        Reuses the first open bundle whose year works, otherwise synthesizes
-        a fresh citing publication. Never returns a publication already
-        citing the same target, so edges stay unique; ``Corpus.from_parts``
-        is the one check that they do.
-        """
-        bundles = self.bundles.setdefault(citer_id, [])
-        for i, bundle in enumerate(bundles):
-            if bundle.year >= min_year and target_pub not in bundle.targets:
-                bundle.slots_left -= 1
-                bundle.targets.add(target_pub)
-                if not bundle.slots_left:
-                    del bundles[i]
-                return bundle.pub_id
-        self.citer_serial += 1
-        year = int(self.rng.integers(min_year, self.spec.years.end + 1))
-        pub_id = f"Q{self.citer_serial:06d}"
-        citer = self.by_id[citer_id]
-        self.publications.append(Publication(
-            pub_id=pub_id,
-            title=f"Citing article {self.citer_serial}",
-            year=year,
-            author_ids=(citer_id,),
-            discipline=citer.discipline,
-        ))
-        if CITER_PUB_CAPACITY > 1:
-            bundles.append(_CiterBundle(
-                pub_id=pub_id,
-                year=year,
-                slots_left=CITER_PUB_CAPACITY - 1,
-                targets={target_pub},
-            ))
-        return pub_id
-
-    def add_edge(self, citing: str, cited: str) -> None:
-        self.citing.append(citing)
-        self.cited.append(cited)
+def _draw_first_year(
+    rng: np.random.Generator, years: YearRange, stage: Optional[CareerStage]
+) -> int:
+    span = years.end - years.start
+    if stage is None:
+        return int(rng.integers(years.start, years.end + 1))
+    lo, hi = _STAGE_OFFSETS[stage]
+    offset = int(rng.integers(lo, min(hi, span) + 1))
+    return years.end - offset
 
 
 def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
@@ -291,9 +240,15 @@ def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
     the sampled counts. Compounding is NOT applied here; feed the result
     through :func:`apply_compounding` to layer that on.
     """
-    builder = _Builder(spec)
-    rng = builder.rng
+    rng = np.random.default_rng(spec.seed)
     years = spec.years
+    end = years.end
+    capacity = CITER_PUB_CAPACITY
+    researchers: list[Researcher] = []
+    publications: list[Publication] = []
+    # citation i is citing[i] citing cited[i]
+    citing: list[str] = []
+    cited: list[str] = []
 
     # Pass 1: researcher shells, so external citers can reference any member.
     per_group_members: list[list[str]] = []
@@ -301,46 +256,52 @@ def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
         members = []
         for ri in range(group.n_researchers):
             rid = f"R{gi}-{ri:04d}"
-            first_year = builder.draw_first_year(group.career_stage)
-            builder.add_researcher(Researcher(
+            researchers.append(Researcher(
                 researcher_id=rid,
                 name_variants=(f"Author {gi}-{ri:04d}",),
                 orcid=None,
                 gender=group.gender,
-                first_pub_year=first_year,
+                first_pub_year=_draw_first_year(rng, years, group.career_stage),
                 discipline=group.discipline,
             ))
             members.append(rid)
         per_group_members.append(members)
 
-    all_ids = [r.researcher_id for r in builder.researchers]
-    by_id = builder.by_id
-    if len(all_ids) == 1:
-        pool = Researcher(
+    if len(researchers) == 1:
+        researchers.append(Researcher(
             researcher_id="EXT-0001",
             name_variants=("External Citer",),
             discipline=Discipline.OTHER,
-        )
-        builder.add_researcher(pool)
-        external_citers = [pool.researcher_id]
+        ))
+        external_citers = [researchers[1]]
     else:
-        external_citers = all_ids
-    citer_cursor = 0
+        external_citers = researchers
+    first_years = {r.researcher_id: r.first_pub_year for r in researchers}
+    disciplines = {r.researcher_id: r.discipline for r in external_citers}
+    # citer id -> its open citing bundles in creation order; a bundle
+    # leaves the list when its last slot is taken
+    open_bundles: dict[str, list[_CiterBundle]] = {
+        r.researcher_id: [] for r in external_citers
+    }
+    next_citer = cycle([r.researcher_id for r in external_citers]).__next__
+    add_citing = citing.append
+    add_publication = publications.append
+    citer_serial = 0
 
     # Pass 2: publications and citation edges, researcher by researcher.
     for gi, group in enumerate(spec.groups):
-        for ri, rid in enumerate(per_group_members[gi]):
-            scr_i = builder.draw_scr(group.target_mean_scr)
-            first_year = by_id[rid].first_pub_year
+        for rid in per_group_members[gi]:
+            scr_i = _draw_scr(rng, group.target_mean_scr)
+            first_year = first_years[rid]
             h_target = group.target_mean_h
             n_pubs = max(1, round(PUBS_PER_H * h_target + float(rng.uniform(-2, 2))))
 
             pub_years = [first_year]
-            pub_years += rng.integers(first_year, years.end + 1, size=n_pubs - 1).tolist()
+            pub_years += rng.integers(first_year, end + 1, size=n_pubs - 1).tolist()
             pub_ids = []
             for pj, year in enumerate(pub_years):
                 pid = f"P-{rid}-{pj:04d}"
-                builder.publications.append(Publication(
+                add_publication(Publication(
                     pub_id=pid,
                     title=f"Study {rid}-{pj:04d}",
                     year=year,
@@ -348,6 +309,9 @@ def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
                     discipline=group.discipline,
                 ))
                 pub_ids.append(pid)
+            # self-citation candidates are taken in id order, which is
+            # publication order only below 10,000 publications
+            ranked = sorted(zip(pub_ids, pub_years))
 
             # One block draw per quantity consumes the stream exactly as a
             # scalar draw per publication would; binomial draws nothing for
@@ -362,54 +326,71 @@ def generate_synthetic_corpus(spec: GeneratorSpec) -> Corpus:
                 totals = selves = [0] * n_pubs
 
             extra_serial = 0
-            for pj, pid in enumerate(pub_ids):
-                cited_year = pub_years[pj]
-                # Self edges come from the researcher's own publications in
-                # the same or a later year; synthesize follow-ups on deficit.
-                candidates = sorted(
-                    (
-                        other
-                        for oj, other in enumerate(pub_ids)
-                        if oj != pj and pub_years[oj] >= cited_year
-                    ),
-                )
-                need = selves[pj]
-                while len(candidates) < need:
-                    extra_serial += 1
-                    year = int(rng.integers(cited_year, years.end + 1))
-                    extra_id = f"P-{rid}-x{extra_serial:04d}"
-                    builder.publications.append(Publication(
-                        pub_id=extra_id,
-                        title=f"Follow-up {rid}-x{extra_serial:04d}",
-                        year=year,
-                        author_ids=(rid,),
-                        discipline=group.discipline,
-                    ))
-                    candidates.append(extra_id)
+            for pid, cited_year, total, need in zip(pub_ids, pub_years, totals, selves):
+                # the work's self citers, then its external ones, go to citing
+                cited += repeat(pid, total)
                 if need:
-                    chosen_idx = rng.choice(len(candidates), size=need, replace=False)
-                    for ci in sorted(int(i) for i in chosen_idx):
-                        builder.add_edge(candidates[ci], pid)
+                    # Self edges come from the researcher's own publications
+                    # in the same or a later year; synthesize follow-ups on
+                    # deficit.
+                    candidates = [
+                        other for other, year in ranked if year >= cited_year and other != pid
+                    ]
+                    while len(candidates) < need:
+                        extra_serial += 1
+                        year = int(rng.integers(cited_year, end + 1))
+                        extra_id = f"P-{rid}-x{extra_serial:04d}"
+                        add_publication(Publication(
+                            pub_id=extra_id,
+                            title=f"Follow-up {rid}-x{extra_serial:04d}",
+                            year=year,
+                            author_ids=(rid,),
+                            discipline=group.discipline,
+                        ))
+                        candidates.append(extra_id)
+                    chosen = rng.choice(len(candidates), size=need, replace=False)
+                    citing += map(candidates.__getitem__, sorted(chosen.tolist()))
 
-                for _ in range(totals[pj] - selves[pj]):
-                    citer_id = external_citers[citer_cursor % len(external_citers)]
-                    citer_cursor += 1
+                # External citations: each from the next cohort member in
+                # turn, in the first open bundle whose year works, otherwise
+                # in a freshly synthesized citing publication.
+                for _ in range(total - need):
+                    citer_id = next_citer()
                     if citer_id == rid:
-                        citer_id = external_citers[citer_cursor % len(external_citers)]
-                        citer_cursor += 1
-                    citer_fp = by_id[citer_id].first_pub_year
-                    min_year = cited_year
-                    if citer_fp is not None:
-                        min_year = min(max(min_year, citer_fp), years.end)
-                    citing_pid = builder.new_citing_slot(citer_id, min_year, pid)
-                    builder.add_edge(citing_pid, pid)
+                        citer_id = next_citer()
+                    # every first year lies in the spec's range, so this
+                    # never passes years.end
+                    min_year = first_years[citer_id]
+                    if min_year is None or min_year < cited_year:
+                        min_year = cited_year
+                    bundles = open_bundles[citer_id]
+                    for i, bundle in enumerate(bundles):
+                        if bundle.year >= min_year and bundle.last != pid:
+                            bundle.last = pid
+                            bundle.slots_left -= 1
+                            if not bundle.slots_left:
+                                del bundles[i]
+                            add_citing(bundle.pub_id)
+                            break
+                    else:
+                        citer_serial += 1
+                        year = int(rng.integers(min_year, end + 1))
+                        citing_pid = f"Q{citer_serial:06d}"
+                        add_publication(Publication(
+                            pub_id=citing_pid,
+                            title=f"Citing article {citer_serial}",
+                            year=year,
+                            author_ids=(citer_id,),
+                            discipline=disciplines[citer_id],
+                        ))
+                        if capacity > 1:
+                            bundles.append(_CiterBundle(citing_pid, year, capacity - 1, pid))
+                        add_citing(citing_pid)
 
     provenance = Provenance(
         source=f"synthetic:seed={spec.seed}", format_version="synth/1"
     )
-    return Corpus._from_columns(
-        builder.researchers, builder.publications, builder.citing, builder.cited, provenance
-    )
+    return Corpus._from_columns(researchers, publications, citing, cited, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +436,16 @@ def apply_compounding(
             if rid not in corpus.researchers and pid not in corpus.publications:
                 return rid, pid
 
-    persons = corpus.publication_persons
+    # The self edges, found in one pass at C speed: those whose citing and
+    # cited publications share a person.
+    persons = tuple(map(frozenset, corpus.publication_persons)).__getitem__
+    disjoint = map(
+        frozenset.isdisjoint, map(persons, corpus.citing), map(persons, corpus.cited)
+    )
+    self_edges = compress(zip(corpus.citing, corpus.cited), map(not_, disjoint))
     years = corpus.publication_years
     ids = corpus.publication_ids
-    for citing, cited in zip(corpus.citing, corpus.cited):
-        if set(persons[citing]).isdisjoint(persons[cited]):
-            continue
+    for citing, cited in self_edges:
         base_year = years[citing]
         for _ in range(int(rng.poisson(rate))):
             rid, pid = fresh_ids()

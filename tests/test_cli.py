@@ -709,6 +709,15 @@ def test_synth_cli_nan_compounding_rate(tmp_path, capsys):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_synth_cli_output_directory_is_named(tmp_path, capsys):
+    out = tmp_path / "corpus.jsonl"
+    out.mkdir()
+    code = main(["synth", str(DATA / "e2e_spec.json"), "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert last_stderr_record(capsys)["path"] == str(out)
+    assert list(tmp_path.iterdir()) == [out]  # the written corpus is removed again
+
+
 def test_synth_cli_missing_spec(tmp_path, capsys):
     code = main(
         ["synth", str(tmp_path / "no.json"), "--output", str(tmp_path / "c.jsonl")]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from json.encoder import encode_basestring
 
 from selfcite.corpus import (
+    MIN_YEAR,
     CitationEdge,
     Corpus,
     CorpusFormat,
@@ -24,6 +25,7 @@ from selfcite.corpus import (
     Researcher,
     UnknownResearcher,
     WarningCode,
+    _canonical_orcid,
     _decode_line,
     _encode_compact,
     _publication_from_json,
@@ -584,6 +586,24 @@ def test_write_corpus_streams_serialize_corpus_bytes(tmp_path, researcher_mid_pa
     assert serialize_corpus(make_corpus([], [], [])) == "\n"
 
 
+def test_write_corpus_failure_keeps_the_old_file(tmp_path):
+    out = tmp_path / "corpus.jsonl"
+    out.write_text("previous contents\n", encoding="utf-8")
+    # the second researcher line cannot be encoded as UTF-8
+    corpus = make_corpus(
+        [simple_researcher("A"), simple_researcher("B", name_variants=("\ud800",))], [], []
+    )
+    with pytest.raises(UnicodeEncodeError):
+        write_corpus(corpus, out)
+    assert out.read_text(encoding="utf-8") == "previous contents\n"
+    assert list(tmp_path.iterdir()) == [out]  # no partial file left beside it
+
+    corpus = make_corpus([simple_researcher("A")], [], [])
+    write_corpus(corpus, out)
+    assert out.read_text(encoding="utf-8") == serialize_corpus(corpus)
+    assert list(tmp_path.iterdir()) == [out]
+
+
 # Characters the JSON string encoder escapes (quote, backslash, control
 # characters) or passes through as they are (DEL, U+2028, non-BMP
 # characters, lone surrogates).
@@ -624,6 +644,79 @@ def test_citation_lines_match_the_encoder(corpus):
         for e in sorted(corpus.edges, key=lambda e: (e.citing_id, e.cited_id))
     ]
     assert lines[len(lines) - len(expected):] == expected
+
+
+# Text the JSON string encoder escapes (quote, backslash, U+0000-U+001F) or
+# passes through as it is (U+2028, non-ASCII text, a lone surrogate).
+RECORD_CHARS = [
+    '"', "\\", *map(chr, range(0x20)), "\u2028", "\u00e9", "\U0001f600", "\ud800", "a", " ",
+]
+record_text = st.text(alphabet=st.sampled_from(RECORD_CHARS) | st.characters(), max_size=5)
+
+
+@st.composite
+def record_corpora(draw):
+    """A corpus of researchers and publications whose strings need
+    escaping, with one or several names and authors and each optional
+    value null or set, beside the records a reader expects: dicts in the
+    key order of the ``corpus`` module docstring."""
+    ids = record_text.filter(bool)
+    rids = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    researchers, researcher_records = [], []
+    for rid in rids:
+        names = draw(st.lists(record_text.filter(str.strip), min_size=1, max_size=3))
+        orcid = draw(st.none() | ids.filter(lambda text: _canonical_orcid(text) == text))
+        gender = draw(st.sampled_from(list(Gender)))
+        discipline = draw(st.sampled_from(list(Discipline)))
+        first_pub_year = draw(st.none() | st.integers(MIN_YEAR, 2024))
+        researchers.append(
+            Researcher(rid, tuple(names), orcid, gender, first_pub_year, discipline)
+        )
+        researcher_records.append({
+            "kind": "researcher",
+            "id": rid,
+            "names": names,
+            "orcid": orcid,
+            "gender": None if gender is Gender.UNREPORTED else gender.value,
+            "discipline": discipline.value,
+            "first_pub_year": first_pub_year,
+        })
+    publications, publication_records = [], []
+    for pid in draw(st.lists(ids, max_size=4, unique=True)):
+        title = draw(record_text)
+        year = draw(st.integers(MIN_YEAR, 2024))
+        authors = draw(st.lists(st.sampled_from(rids), min_size=1, max_size=3, unique=True))
+        discipline = draw(st.sampled_from(list(Discipline)))
+        count = draw(st.none() | st.integers(0, 10**6))
+        publications.append(Publication(pid, title, year, tuple(authors), discipline, count))
+        record = {
+            "kind": "publication",
+            "id": pid,
+            "title": title,
+            "year": year,
+            "authors": authors,
+            "discipline": discipline.value,
+        }
+        if count is not None:
+            record["citation_count"] = count
+        publication_records.append(record)
+    records = sorted(researcher_records, key=lambda r: r["id"])
+    records += sorted(publication_records, key=lambda r: r["id"])
+    return make_corpus(researchers, publications, []), records
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=record_corpora())
+def test_record_lines_match_json_dumps(case):
+    """The writer builds researcher and publication lines by pattern; each
+    must be json.dumps of its record, byte for byte."""
+    corpus, records = case
+    expected = [
+        json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+        for record in records
+    ]
+    # split on LF alone: str.splitlines would also split at U+2028
+    assert [line + "\n" for line in serialize_corpus(corpus).split("\n")[:-1]] == expected
 
 
 # ---------------------------------------------------------------------------

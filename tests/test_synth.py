@@ -349,10 +349,11 @@ def _six_disciplines(per_group):
     return raw
 
 
-# sha1 of serialize_corpus(generate_synthetic_corpus(spec)). No spec
-# compounds, so no digest depends on the calendar. ROADMAP items 2 (exact
-# group SCR means) and 3 (pinned as-of year) will change these digests on
-# purpose; whoever changes them records it in CHANGES.md.
+# sha1 of the corpus `selfcite synth` writes for the spec. The one spec
+# that compounds ends early enough that no compounding year reaches the
+# cap (today + 1), so no digest depends on the calendar. ROADMAP items 2
+# (exact group SCR means) and 3 (pinned as-of year) will change these
+# digests on purpose; whoever changes them records it in CHANGES.md.
 PINNED_SYNTH = [
     pytest.param(
         json.loads((DATA / "e2e_spec.json").read_text(encoding="utf-8")),
@@ -391,12 +392,33 @@ PINNED_SYNTH = [
         "285af459d15188023ed5d59eda5c54735ee2db77",
         id="career_stages",
     ),
+    pytest.param(
+        {
+            **_raw_spec(
+                _group("Engineering", 6, 0.22, 6),
+                _group("Humanities", 4, 0.09, 4, career_stage="Senior"),
+            ),
+            "years": {"start": 1980, "end": 2015},
+            "compounding_rate": 3.0,
+            "compounding_horizon_years": 5,
+        },
+        "543efd6ea05c4f41a05743739cc48b46342d375c",
+        id="compounded",
+    ),
 ]
 
 
 @pytest.mark.parametrize("raw, sha1", PINNED_SYNTH)
 def test_synth_bytes_pinned(raw, sha1):
-    corpus = generate_synthetic_corpus(spec_from_json(raw))
+    spec = spec_from_json(raw)
+    corpus = generate_synthetic_corpus(spec)
+    if spec.compounding_rate > 0:
+        # a compounding year is at most years.end + horizon, so the cap
+        # never binds and the bytes do not follow the calendar
+        assert spec.years.end + spec.compounding_horizon_years < max_valid_year()
+        corpus = apply_compounding(
+            corpus, spec.compounding_rate, spec.compounding_horizon_years, seed=spec.seed
+        )
     assert hashlib.sha1(serialize_corpus(corpus).encode("utf-8")).hexdigest() == sha1
 
 
@@ -407,6 +429,22 @@ def test_citing_publications_hold_at_most_capacity(monkeypatch, capacity):
     references = Counter(e.citing_id for e in corpus.edges if e.citing_id.startswith("Q"))
     # some synthesized citing publication fills up, and none overflows
     assert max(references.values()) == capacity
+
+
+def test_pool_citer_never_cites_a_work_twice(monkeypatch):
+    """With one researcher, every external citation comes from the one pool
+    citer, and at a capacity no bundle fills, a work finds every earlier
+    bundle still open: only the last-target rule keeps its edges unique."""
+    raw = _raw_spec(_group("ComputerScience", 1, 0.2, 8))
+    default = generate_synthetic_corpus(spec_from_json(raw))
+    monkeypatch.setattr(synth, "CITER_PUB_CAPACITY", 10_000)
+    # Corpus._from_columns raises DuplicateId on a repeated pair
+    corpus = generate_synthetic_corpus(spec_from_json(raw))
+    assert len(set(corpus.edges)) == len(corpus.edges)
+    # with one researcher every count is drawn before the first bundle
+    assert Counter(e.cited_id for e in corpus.edges) == Counter(
+        e.cited_id for e in default.edges
+    )
 
 
 # ---------------------------------------------------------------------------
