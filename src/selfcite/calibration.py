@@ -93,9 +93,9 @@ def estimate_field_beta(
     even-sized cohort takes the mean of the two central values. Alpha and
     gamma are copied from the template unchanged.
     """
-    ratios = []
-    for rid in sorted(corpus.researchers):
-        if corpus.researchers[rid].discipline is not discipline:
+    ratios = []  # statistics.median sorts them, so researcher order is moot
+    for rid, researcher in corpus.researchers.items():
+        if researcher.discipline is not discipline:
             continue
         counts = count_citations(corpus, rid, mode)
         if counts.total > 0:

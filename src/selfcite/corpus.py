@@ -48,7 +48,6 @@ from enum import Enum
 from functools import cached_property
 from itertools import islice, repeat
 from json.encoder import encode_basestring
-from json.scanner import make_scanner
 from operator import add, eq, mod, mul
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -571,26 +570,6 @@ def _open_lines(source) -> tuple[io.BytesIO, str, bool]:
 # U+00A0, U+2028, U+001C and the like, which json.loads rejects.
 _JSON_WHITESPACE = " \t\r\n"
 
-# The scanner json.loads runs (the C one where the build has it), without
-# the wrapper around it. It keeps no state between calls.
-_scan_json = make_scanner(json.JSONDecoder())
-
-
-def _decode_line(line: str):
-    """``json.loads(line)`` in one call of the C scanner where that is exact.
-
-    The scanner's value stands only when it consumed the whole line. Any
-    other line (leading or trailing whitespace, a BOM, trailing data, a
-    syntax error) goes to ``json.loads``, which returns or raises as it
-    always has.
-    """
-    try:
-        value, end = _scan_json(line, 0)
-    except (StopIteration, json.JSONDecodeError):
-        return json.loads(line)
-    return value if end == len(line) else json.loads(line)
-
-
 # Record lines exactly as write_corpus writes them, for strings holding no
 # quote, backslash or control character: such a string's JSON text is its
 # contents unchanged, so each group is what json.loads would give. A list
@@ -626,7 +605,6 @@ def _parse_jsonl(source) -> Corpus:
     # sys.intern, whose strings newer CPythons keep for the whole process.
     ids: dict[str, str] = {}
     share = ids.setdefault
-    decode = _decode_line
     citation_line = _CITATION_LINE.fullmatch
     researcher_line = _RESEARCHER_LINE.fullmatch
     publication_line = _PUBLICATION_LINE.fullmatch
@@ -677,7 +655,7 @@ def _parse_jsonl(source) -> Corpus:
             if not line:
                 continue
             try:
-                record = decode(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecord(
                     f"invalid JSON ({exc.msg})", f"{label} line {lineno}"

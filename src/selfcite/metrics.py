@@ -15,6 +15,10 @@ over external-only citations, the i10-index, the s-index (an h-style
 index over per-publication self-citation counts), and the inflation of
 h attributable to self-citation, measured against the external-only
 baseline. All arithmetic is 64-bit float; all functions are pure.
+
+One assembler, :func:`report_from_counts`, builds every report from the
+counting loop's row, :class:`selfcite.identity.CitationCounts`;
+:func:`compute_report` counts one researcher and assembles.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from operator import sub
 from typing import Optional, Sequence
 
 from .corpus import Corpus, json_int, json_number
-from .identity import CitationCounts, SelfCitationMode, _tally
+from .identity import CitationCounts, SelfCitationMode, count_citations
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 0.1
@@ -146,39 +150,20 @@ def compute_report(
     params: MetricParams = MetricParams(),
     mode: SelfCitationMode = SelfCitationMode.FOCAL,
 ) -> MetricsReport:
-    """Full metrics report for one researcher.
-
-    Counts incoming citations per publication, splits them into self and
-    external per the classification mode, and assembles every metric.
-    ``yearly_scr`` maps each calendar year in which the researcher was
-    cited to the self-citation ratio of that year's citations.
-    """
-    return _assemble(focal, *_tally(corpus, focal, mode), params)
+    """Full metrics report for one researcher: :func:`report_from_counts`
+    of :func:`~selfcite.identity.count_citations`."""
+    return report_from_counts(count_citations(corpus, focal, mode), params)
 
 
 def report_from_counts(
     counts: CitationCounts, params: MetricParams = MetricParams()
 ) -> MetricsReport:
-    """Assemble a report from precomputed citation tallies."""
-    tallies = counts.per_publication.values()
-    return _assemble(
-        counts.focal_researcher,
-        [t.total for t in tallies],
-        [t.self for t in tallies],
-        {year: (t.total, t.self) for year, t in counts.per_year.items()},
-        params,
-    )
+    """Assemble every metric from one researcher's citation counts.
 
-
-def _assemble(
-    focal: str,
-    totals: list[int],
-    selves: list[int],
-    years: dict[int, Sequence[int]],
-    params: MetricParams,
-) -> MetricsReport:
-    """A report from per-publication total and self counts and citing
-    year -> (total, self)."""
+    ``yearly_scr`` maps each calendar year in which the researcher was
+    cited to the self-citation ratio of that year's citations.
+    """
+    focal, totals, selves, years = counts
     h_all = compute_h_index(totals)
     total = sum(totals)
     self_total = sum(selves)

@@ -165,14 +165,16 @@ def test_criterion_04_partition_and_classification(capsys):
             corpus = random_corpus(rng)
             for rid in corpus.researchers:
                 counts = count_citations(corpus, rid)
-                for pid, tally in counts.per_publication.items():
-                    assert tally.self + tally.external == tally.total
+                for pid, total, self_count in zip(
+                    corpus.publications_by_author[rid], counts.totals, counts.selves
+                ):
+                    assert 0 <= self_count <= total
                     members = sum(
                         rid in corpus.publications[edge.citing_id].author_ids
                         for edge in corpus.edges
                         if edge.cited_id == pid
                     )
-                    assert tally.self == members
+                    assert self_count == members
         assert time.monotonic() - start < 10.0
 
 

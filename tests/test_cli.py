@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib
 import io
@@ -8,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from datetime import date
 from pathlib import Path
 
@@ -858,7 +860,11 @@ def test_written_corpora_never_reach_the_decoder(tmp_path, monkeypatch):
     def refuse(line):
         raise AssertionError(f"a written line reached the JSON decoder: {line}")
 
-    monkeypatch.setattr(selfcite.corpus, "_decode_line", refuse)
+    monkeypatch.setattr(
+        selfcite.corpus,
+        "json",
+        types.SimpleNamespace(loads=refuse, JSONDecodeError=json.JSONDecodeError),
+    )
     with pytest.raises(AssertionError):  # the patch is in force
         parse_corpus(io.StringIO('{"kind": "citation"}'))
     for source in (synth_path, rich_path):
@@ -1081,6 +1087,23 @@ def test_option_surface_is_pinned():
             if defaults:
                 surface[f"{info.name}.{name}"] = defaults
     assert surface == OPTION_SURFACE
+
+
+def test_modules_import_no_private_names_from_each_other():
+    """A module of the package reaches another only through its public
+    names, so a private helper can change without a second module knowing."""
+    crossings = []
+    for path in sorted(Path(selfcite.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                source = "." * node.level + (node.module or "")
+                crossings += [
+                    f"{path.name}: from {source} import {alias.name}"
+                    for alias in node.names
+                    # a dunder such as __version__ is public
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert crossings == []
 
 
 def test_unknown_command_exits_with_usage():

@@ -26,7 +26,6 @@ from selfcite.corpus import (
     UnknownResearcher,
     WarningCode,
     _canonical_orcid,
-    _decode_line,
     _encode_compact,
     _publication_from_json,
     _researcher_from_json,
@@ -720,50 +719,8 @@ def test_record_lines_match_json_dumps(case):
 
 
 # ---------------------------------------------------------------------------
-# Lean ingest: the line decoder, shared id strings, slotted records
+# Lean ingest: the record-line patterns, shared id strings, slotted records
 # ---------------------------------------------------------------------------
-
-# Pieces of JSON and of things json.loads must reject: a BOM, trailing data,
-# non-finite numbers, big integers, lone surrogates, duplicate keys, control
-# characters and whitespace that str.strip removes but JSON does not allow.
-JSON_FRAGMENTS = [
-    "{", "}", "[", "]", ",", ":", '"', "\\", '"kind"', '"citation"', '"k"',
-    "1", "-0", "2.5e3", "123456789012345678901234567890", "NaN", "-Infinity",
-    "Infinity", "true", "false", "null", '"\\ud800"', '"\\udc00x"', "\ud800",
-    '"\\u00e9"', '"\u00e9"', "\ufeff", "{} {}", "{}x", '{"a":1,"a":2}', '"a\tb"',
-    "\x00", "\x1f", " ", "\t", "\r", "\n", "\x0b", "\x0c", "\x85", "\xa0",
-    "\u2028", "\u3000", "x",
-]
-json_fragments = st.sampled_from(JSON_FRAGMENTS)
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6,
-)
-json_lines = st.one_of(
-    st.lists(json_fragments, max_size=12).map("".join),
-    st.tuples(
-        st.lists(json_fragments, max_size=2).map("".join),
-        st.builds(json.dumps, json_values, ensure_ascii=st.booleans()),
-        st.lists(json_fragments, max_size=2).map("".join),
-    ).map("".join),
-)
-
-
-def _decode_outcome(decode, line):
-    try:
-        return ("value", repr(decode(line)))  # repr: NaN equals itself
-    except json.JSONDecodeError as exc:
-        return ("error", exc.msg, exc.pos)
-
-
-@settings(max_examples=400, deadline=None)
-@given(line=json_lines)
-def test_line_decoder_matches_json_loads(line):
-    for text in (line, line.strip()):
-        assert _decode_outcome(_decode_line, text) == _decode_outcome(json.loads, text)
-
 
 # Publication ids the citation lines below may name: plain ones, ones the
 # encoder escapes, and ones it writes as they are. Then ids no publication

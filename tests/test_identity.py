@@ -8,7 +8,7 @@ from selfcite.corpus import (
     parse_corpus,
     person_key,
 )
-from selfcite.identity import SelfCitationMode, Tally, count_citations
+from selfcite.identity import SelfCitationMode, count_citations
 from selfcite.metrics import (
     MetricParams,
     MetricsReport,
@@ -69,7 +69,7 @@ def test_count_citations_no_incoming():
         [simple_researcher("R")], [simple_pub("P", 2000, ["R"])], []
     )
     counts = count_citations(corpus, "R")
-    assert counts.per_publication == {"P": Tally(total=0, self=0)}
+    assert (counts.totals, counts.selves) == ([0], [0])
     assert counts.per_year == {}
     assert counts.total == 0 and counts.self_total == 0
 
@@ -77,31 +77,25 @@ def test_count_citations_no_incoming():
 def test_count_citations_two_papers(two_papers_path):
     corpus = parse_corpus(two_papers_path)
     counts = count_citations(corpus, "A")
-    assert counts.per_publication["P1"] == Tally(total=1, self=1)
-    assert counts.per_publication["P2"] == Tally(total=0, self=0)
+    assert corpus.publications_by_author["A"] == ("P1", "P2")
+    assert (counts.totals, counts.selves) == ([1, 0], [1, 0])
 
 
 def test_count_citations_researcher_mid(researcher_mid_path):
     corpus = parse_corpus(researcher_mid_path)
     counts = count_citations(corpus, "M")
-    expected = {
-        "M1": Tally(total=5, self=2),
-        "M2": Tally(total=3, self=1),
-        "M3": Tally(total=3, self=1),
-        "M4": Tally(total=1, self=0),
-    }
-    assert counts.per_publication == expected
+    assert corpus.publications_by_author["M"] == ("M1", "M2", "M3", "M4")
+    assert counts.totals == [5, 3, 3, 1]
+    assert counts.selves == [2, 1, 1, 0]
     assert counts.total == 12 and counts.self_total == 4
-    assert counts.per_year == {
-        2012: Tally(1, 1),
-        2013: Tally(2, 0),
-        2015: Tally(2, 2),
-        2016: Tally(2, 0),
-        2018: Tally(1, 1),
-        2019: Tally(4, 0),
+    assert dict(sorted(counts.per_year.items())) == {
+        2012: [1, 1],
+        2013: [2, 0],
+        2015: [2, 2],
+        2016: [2, 0],
+        2018: [1, 1],
+        2019: [4, 0],
     }
-    for tally in counts.per_publication.values():
-        assert tally.external == tally.total - tally.self
 
 
 def test_count_citations_ten_edges_three_self():
@@ -110,8 +104,9 @@ def test_count_citations_ten_edges_three_self():
 
     corpus = corpus_with_ratios(corpus_pairs)
     counts = count_citations(corpus, "R000")
-    tally = counts.per_publication["R000-P0"]
-    assert (tally.total, tally.self, tally.external) == (10, 3, 7)
+    assert corpus.publications_by_author["R000"][0] == "R000-P0"
+    total, self_count = counts.totals[0], counts.selves[0]
+    assert (total, self_count, total - self_count) == (10, 3, 7)
 
 
 def test_classify_two_papers_fixture(two_papers_path):
@@ -119,7 +114,7 @@ def test_classify_two_papers_fixture(two_papers_path):
     for mode in SelfCitationMode:
         counts = count_citations(corpus, "A", mode)
         assert counts.focal_researcher == "A"
-        assert counts.per_publication["P1"] == Tally(total=1, self=1)
+        assert (counts.totals[0], counts.selves[0]) == (1, 1)
 
 
 def test_classify_external(researcher_mid_path):
@@ -129,9 +124,12 @@ def test_classify_external(researcher_mid_path):
     edge = next(e for e in corpus.edges if e.citing_id == "X1P1")
     rest = [e for e in corpus.edges if e != edge]
     without = make_corpus(corpus.researchers.values(), corpus.publications.values(), rest)
-    before = count_citations(corpus, "M").per_publication[edge.cited_id]
-    after = count_citations(without, "M").per_publication[edge.cited_id]
-    assert (before.total - after.total, before.self - after.self) == (1, 0)
+    i = corpus.publications_by_author["M"].index(edge.cited_id)
+    before = count_citations(corpus, "M")
+    after = count_citations(without, "M")
+    assert (
+        before.totals[i] - after.totals[i], before.selves[i] - after.selves[i]
+    ) == (1, 0)
 
 
 def test_classify_orcid_duplicate_record():
@@ -142,7 +140,8 @@ def test_classify_orcid_duplicate_record():
     citing = simple_pub("P2", 2014, ["J2"])
     corpus = make_corpus([j1, j2], [cited, citing], [CitationEdge("P2", "P1")])
     for mode in SelfCitationMode:
-        assert count_citations(corpus, "J1", mode).per_publication["P1"] == Tally(1, 1)
+        counts = count_citations(corpus, "J1", mode)
+        assert (counts.totals, counts.selves) == ([1], [1])
 
 
 def focal_dependence_corpus():
@@ -175,10 +174,12 @@ def test_count_citations_unknown_researcher(two_papers_path):
 def test_partition_identity_property(corpus):
     for rid in corpus.researchers:
         counts = count_citations(corpus, rid)
-        for pid, tally in counts.per_publication.items():
-            assert tally.self + tally.external == tally.total
-            assert tally.total == sum(e.cited_id == pid for e in corpus.edges)
-        year_total = sum(t.total for t in counts.per_year.values())
+        pub_ids = corpus.publications_by_author[rid]
+        assert len(pub_ids) == len(counts.totals) == len(counts.selves)
+        for pid, total, self_count in zip(pub_ids, counts.totals, counts.selves):
+            assert 0 <= self_count <= total
+            assert total == sum(e.cited_id == pid for e in corpus.edges)
+        year_total = sum(total for total, _ in counts.per_year.values())
         assert year_total == counts.total
 
 
@@ -234,8 +235,10 @@ def test_person_key_matches_same_person(corpus):
 
 
 def reference_counts(corpus, focal, mode):
-    """Tally edge by edge from the reference classifier, without the indexes."""
-    per_publication = {}
+    """Count edge by edge from the reference classifier, without the
+    indexes: per authored publication in sorted-id order, its total and
+    self citations, and citing year -> [total, self] in year order."""
+    totals, selves = [], []
     per_year = {}
     authored = sorted(
         pid for pid, pub in corpus.publications.items() if focal in pub.author_ids
@@ -247,12 +250,13 @@ def reference_counts(corpus, focal, mode):
                 continue
             is_self = is_self_citation(corpus, edge, focal, mode)
             year = corpus.publications[edge.citing_id].year
-            old = per_year.get(year, Tally(0, 0))
-            per_year[year] = Tally(old.total + 1, old.self + is_self)
+            old_total, old_self = per_year.get(year, [0, 0])
+            per_year[year] = [old_total + 1, old_self + is_self]
             total += 1
             self_count += is_self
-        per_publication[pid] = Tally(total, self_count)
-    return per_publication, dict(sorted(per_year.items()))
+        totals.append(total)
+        selves.append(self_count)
+    return totals, selves, dict(sorted(per_year.items()))
 
 
 @settings(max_examples=80, deadline=None)
@@ -261,19 +265,18 @@ def test_count_citations_matches_per_edge_classification(corpus):
     for rid in corpus.researchers:
         for mode in SelfCitationMode:
             counts = count_citations(corpus, rid, mode)
-            per_publication, per_year = reference_counts(corpus, rid, mode)
-            assert list(counts.per_publication.items()) == list(per_publication.items())
-            assert list(counts.per_year.items()) == list(per_year.items())
+            totals, selves, per_year = reference_counts(corpus, rid, mode)
+            assert counts.totals == totals
+            assert counts.selves == selves
+            assert sorted(counts.per_year.items()) == list(per_year.items())
             assert counts.focal_researcher == rid
 
 
 def reference_report(corpus, focal, params, mode):
     """A report from the per-edge tallies, every metric computed in full."""
-    per_publication, per_year = reference_counts(corpus, focal, mode)
-    totals = [t.total for t in per_publication.values()]
-    selves = [t.self for t in per_publication.values()]
+    totals, selves, per_year = reference_counts(corpus, focal, mode)
     h = compute_h_index(totals)
-    h_external = compute_h_index([t.external for t in per_publication.values()])
+    h_external = compute_h_index([t - s for t, s in zip(totals, selves)])
     total, self_total = sum(totals), sum(selves)
     scr = compute_scr(self_total, total)
     return MetricsReport(
@@ -287,15 +290,15 @@ def reference_report(corpus, focal, params, mode):
         scai=compute_scai(h, scr, params),
         s_index=compute_s_index(selves),
         inflation=compute_inflation(h, h_external),
-        yearly_scr={year: compute_scr(t.self, t.total) for year, t in per_year.items()},
+        yearly_scr={year: compute_scr(s, t) for year, (t, s) in per_year.items()},
     )
 
 
 @settings(max_examples=80, deadline=None)
 @given(corpus=small_corpora(orcids=True))
 def test_reports_match_per_edge_reference(corpus):
-    """compute_report and report_from_counts(count_citations(...)) share one
-    counting loop and one assembly; both equal a report built edge by edge."""
+    """compute_report and report_from_counts(count_citations(...)) both
+    equal a report built edge by edge."""
     params = MetricParams(alpha=0.7, beta=0.05)
     for rid in corpus.researchers:
         for mode in SelfCitationMode:
